@@ -153,7 +153,7 @@ class _Exposure:
 
 
 def _unwind(stack: ContractionStack, arb: Arborescence) -> Arborescence:
-    """Pop every contraction record in reverse, pulling arb back to the base."""
+    """Pop every contraction record in reverse, pulling arb back to the base in place."""
     while stack.records:
         arb = uncontract(stack, stack.records[-1], arb, validate=False)
     return arb
@@ -337,16 +337,6 @@ class WalkRecord:
             else:
                 path.append(s)
         return path
-
-    def empty_path_times(self) -> list[int]:
-        """Steps after which every exposed edge is contracted (path empty)."""
-        times = []
-        depth = 0
-        for s in self.steps:
-            depth = s.cut if s.event == "contract" else depth + 1
-            if depth == 0:
-                times.append(s.step)
-        return times
 
     def max_path_len(self) -> int:
         return max((s.path_len for s in self.steps), default=0)

@@ -11,34 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .errors import ClebError, ConfigError
 from .graph import load_graph_json
 from .instances import fixture_path
 from .util import derive
 from .weights import Fixed, WeightAssignment, parse_model_spec
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything a run depends on; identical configs give identical bytes."""
-
-    command: str
-    graph: str | None = None
-    family: str | None = None
-    weights: str | None = None
-    seed: int = 0
-    samples: int = 10000
-    trials: int = 400
-    radii: list[int] = field(default_factory=list)
-    probes: list[int] = field(default_factory=list)
-    seeds: int = 1
-    step_cap: int = 1_000_000
-    start: int | None = None
-    betas: list[float] = field(default_factory=lambda: [2.0, 5.0, 10.0, 20.0])
-    out: str | None = None
-    fmt: str = "csv"
 
 
 def _load_instance(args) -> tuple:

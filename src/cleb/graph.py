@@ -5,6 +5,12 @@ changes how its endpoints resolve.  A :class:`ContractionStack` layers an
 undoable union-find over a base graph, so the backward (uncontraction)
 pass can pop records in strict stack order and recover every intermediate
 view exactly.
+
+Both directions cost only the region they touch.  Building a stack is
+O(1) apart from zeroing one dead-flag byte per edge: a supervertex copies
+its out-list and member list from the base graph on its first union.
+:func:`uncontract` pulls the arborescence back in place, so a full unwind
+is linear in the total size of the contracted cycles.
 """
 
 from __future__ import annotations
@@ -34,9 +40,10 @@ class DirectedMultigraph:
 
     Edges are identified by their position in the construction order
     (EdgeId = 0..m-1).  Parallel edges are allowed; self-loops are not.
+    Vertex ids from ``id_bound`` (largest id + 1, or 0) up are free.
     """
 
-    __slots__ = ("vertices", "boundary", "tails", "heads", "_out", "_vset")
+    __slots__ = ("vertices", "boundary", "tails", "heads", "_out", "_vset", "id_bound")
 
     def __init__(self, vertices: Iterable[VertexId], boundary: Iterable[VertexId],
                  edges: Sequence[tuple[VertexId, VertexId]]):
@@ -44,6 +51,7 @@ class DirectedMultigraph:
         self._vset = frozenset(self.vertices)
         if len(self._vset) != len(self.vertices):
             raise UnknownVertexError("duplicate vertex ids")
+        self.id_bound: VertexId = (max(self.vertices) + 1) if self.vertices else 0
         self.boundary: frozenset[VertexId] = frozenset(boundary)
         if not self.boundary <= self._vset:
             raise UnknownVertexError("boundary vertex not in vertex set")
@@ -149,6 +157,10 @@ class ContractionStack:
     a per-lineage potential accumulator used for lazy weight subtraction:
     ``potential(x)`` is the total amount ever subtracted from the outgoing
     edges of the supervertices that vertex ``x`` has belonged to.
+
+    Construction is lazy: a class root reads the base graph's out-list and
+    itself as its member list until its first union copies both.  A walk
+    therefore pays only for the region it explores.
     """
 
     def __init__(self, graph: DirectedMultigraph, *, allow_compaction: bool = False):
@@ -163,14 +175,18 @@ class ContractionStack:
         # offset of a former root relative to its parent at union time
         self._racc: dict[int, object] = {}
         self._doff: dict[int, object] = {}
-        # class root -> outgoing edge list (may contain dead edges, filtered on read)
-        self._out: dict[int, list[EdgeId]] = {v: list(graph.out_edges(v)) for v in graph.vertices}
-        self._members: dict[int, list[VertexId]] = {v: [v] for v in graph.vertices}
+        # class root -> own outgoing edge list (may contain dead edges, filtered
+        # on read) and member list; absent until the root's first union
+        self._out: dict[int, list[EdgeId]] = {}
+        self._members: dict[int, list[VertexId]] = {}
         self._dead = bytearray(graph.n_edges)
-        self._live: dict[VertexId, None] = dict.fromkeys(graph.vertices)
+        # liveness: base vertices absorbed into some supervertex, plus the
+        # live supervertex labels in creation order
+        self._absorbed: set[VertexId] = set()
+        self._live_labels: dict[VertexId, None] = {}
         self.records: list[ContractionRecord] = []
         self._undo: list[dict] = []
-        self._next_label = (max(graph.vertices) + 1) if graph.vertices else 0
+        self._next_label = graph.id_bound
 
     # -- resolution ---------------------------------------------------
 
@@ -197,13 +213,19 @@ class ContractionStack:
         return bool(self._dead[e])
 
     def is_live_vertex(self, v: VertexId) -> bool:
-        return v in self._live
+        return v in self._live_labels or (v in self.base._vset and v not in self._absorbed)
 
     def live_vertices(self) -> list[VertexId]:
-        return list(self._live)
+        """Unabsorbed base vertices in base order, then live supervertices."""
+        absorbed = self._absorbed
+        return [v for v in self.base.vertices if v not in absorbed] + list(self._live_labels)
 
     def n_live_vertices(self) -> int:
-        return len(self._live)
+        return self.base.n_vertices - len(self._absorbed) + len(self._live_labels)
+
+    def _out_list(self, root: int) -> list[EdgeId]:
+        out = self._out.get(root)
+        return self.base._out[root] if out is None else out
 
     def out_edges(self, v: VertexId) -> list[EdgeId]:
         """Live outgoing edges of a live supervertex.
@@ -213,7 +235,7 @@ class ContractionStack:
         """
         dead = self._dead
         root = self._find(v)
-        stored = self._out[root]
+        stored = self._out_list(root)
         live = [e for e in stored if not dead[e]]
         if self._allow_compaction and len(stored) > 16 and len(stored) > 2 * len(live):
             self._out[root] = live
@@ -222,7 +244,8 @@ class ContractionStack:
 
     def members(self, v: VertexId) -> list[VertexId]:
         """Base vertices currently contained in supervertex v."""
-        return [m for m in self._members[self._find(v)] if m in self.base._vset]
+        root = self._find(v)
+        return list(self._members.get(root, (root,)))
 
     # -- potentials (lazy weight subtraction) --------------------------
 
@@ -276,7 +299,7 @@ class ContractionStack:
         dead = self._dead
         roots = [self._find(t) for t in tails]
         for r in roots:
-            for e in self._out[r]:
+            for e in self._out_list(r):
                 if not dead[e] and self.resolve(self.base.heads[e]) in member_set:
                     dead[e] = 1
                     removed.append(e)
@@ -295,8 +318,11 @@ class ContractionStack:
         self._label[root] = label
 
         for t in tails:
-            del self._live[t]
-        self._live[label] = None
+            if t in self._live_labels:
+                del self._live_labels[t]
+            else:
+                self._absorbed.add(t)
+        self._live_labels[label] = None
 
         record = ContractionRecord(cycle=cycle, members=tuple(tails),
                                    supervertex=label, removed=tuple(removed))
@@ -307,7 +333,9 @@ class ContractionStack:
     def _union(self, ra: int, rb: int, undo: dict) -> int:
         if self._size.get(ra, 1) < self._size.get(rb, 1):
             ra, rb = rb, ra
-        out_a = self._out.setdefault(ra, [])
+        out_a = self._out.get(ra)
+        if out_a is None:
+            out_a = self._out[ra] = list(self.base._out[ra])
         mem_a = self._members.setdefault(ra, [ra])
         undo["unions"].append((rb, ra, len(out_a), len(mem_a),
                                self._size.get(ra, 1), self._label.pop(rb, None)))
@@ -315,8 +343,8 @@ class ContractionStack:
         self._size[ra] = self._size.get(ra, 1) + self._size.get(rb, 1)
         # keep members' accumulated potential unchanged across the merge
         self._doff[rb] = self._racc.get(rb, 0) - self._racc.get(ra, 0)
-        out_a.extend(self._out.get(rb, ()))
-        mem_a.extend(self._members.get(rb, ()))
+        out_a.extend(self._out_list(rb))
+        mem_a.extend(self._members.get(rb, (rb,)))
         return ra
 
     def pop(self) -> ContractionRecord:
@@ -349,9 +377,12 @@ class ContractionStack:
                 self._label[rb] = old_label_b
         for e in undo["dead"]:
             self._dead[e] = 0
-        del self._live[record.supervertex]
+        del self._live_labels[record.supervertex]
         for t in undo["live"]:
-            self._live[t] = None
+            if t in self._absorbed:
+                self._absorbed.remove(t)
+            else:
+                self._live_labels[t] = None
         return record
 
 
@@ -364,10 +395,12 @@ def uncontract(stack: ContractionStack, record: ContractionRecord,
                arb: Arborescence, *, validate: bool = True) -> Arborescence:
     """Undo the top contraction and pull a spanning arborescence back.
 
-    ``arb`` must span the current (contracted) view.  The result spans the
-    pre-contraction view: it keeps every cycle edge except the one leaving
-    the member that also owns the arborescence's edge out of the
-    supervertex (the doubly covered vertex).
+    ``arb`` must span the current (contracted) view.  It is updated in
+    place and returned, so that it spans the pre-contraction view: it keeps
+    every cycle edge except the one leaving the member that also owns the
+    arborescence's edge out of the supervertex (the doubly covered
+    vertex).  The cost is proportional to the cycle, not to ``arb``.  On
+    error ``arb`` is left unchanged.
     """
     if not stack.records or stack.records[-1] is not record:
         raise RecordNotTopError("record is not the top of the stack")
@@ -377,14 +410,14 @@ def uncontract(stack: ContractionStack, record: ContractionRecord,
             raise NotSpanningError("; ".join(verdict.problems))
     if record.supervertex not in arb.outgoing:
         raise NotSpanningError(f"supervertex {record.supervertex} has no outgoing edge")
-    outgoing = dict(arb.outgoing)
-    exit_edge = outgoing.pop(record.supervertex)
     stack.pop()
+    outgoing = arb.outgoing
+    exit_edge = outgoing.pop(record.supervertex)
     for member, cycle_edge in zip(record.members, record.cycle):
         outgoing[member] = cycle_edge
     doubly_covered = stack.resolve(stack.base.tails[exit_edge])
     outgoing[doubly_covered] = exit_edge
-    return Arborescence(outgoing)
+    return arb
 
 
 def validate_view_arborescence(stack: ContractionStack, arb: Arborescence) -> Verdict:
@@ -502,7 +535,7 @@ def wire_boundary(graph: DirectedMultigraph, kept: Iterable[VertexId]
     if kept == graph._vset:
         return graph, list(range(graph.n_edges))
     _check_kept_connected(graph, kept)
-    sentinel = max(graph.vertices) + 1
+    sentinel = graph.id_bound
     vertices = [v for v in graph.vertices if v in kept] + [sentinel]
     edges = []
     origin = []

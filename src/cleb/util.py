@@ -8,6 +8,7 @@ and lazy sampling does not depend on query order.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -15,6 +16,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def mix64(x: int) -> int:
@@ -30,7 +32,16 @@ def mix64(x: int) -> int:
 
 def _part_to_int(part) -> int:
     if isinstance(part, int):
-        return part & _MASK if part >= 0 else mix64(-part)
+        if part < 0:
+            return mix64(_part_to_int(-part))
+        # keys below 2**64 map to themselves; wider keys fold their higher
+        # 64-bit limbs in, so no bits are dropped
+        h = part & _MASK
+        part >>= 64
+        while part:
+            h = mix64(h ^ mix64(part & _MASK))
+            part >>= 64
+        return h
     if isinstance(part, str):
         digest = hashlib.blake2b(part.encode(), digest_size=8).digest()
         return int.from_bytes(digest, "little")
@@ -47,7 +58,9 @@ def derive(*parts) -> int:
 
 def u01(*parts) -> float:
     """Deterministic uniform in [0, 1) keyed by the given parts."""
-    return derive(*parts) / 2.0**64
+    x = derive(*parts) / 2.0**64
+    # seeds within 2**10 of 2**64 round up to 1.0 in double precision
+    return x if x < 1.0 else _BELOW_ONE
 
 
 def u01_array(seed: int, keys: np.ndarray) -> np.ndarray:
@@ -62,4 +75,4 @@ def u01_array(seed: int, keys: np.ndarray) -> np.ndarray:
     x ^= x >> np.uint64(27)
     x *= np.uint64(_MIX2)
     x ^= x >> np.uint64(31)
-    return x.astype(np.float64) / 2.0**64
+    return np.minimum(x.astype(np.float64) / 2.0**64, _BELOW_ONE)

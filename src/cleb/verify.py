@@ -201,7 +201,7 @@ def _suite_escape(seed: int, fast: bool) -> SuiteResult:
             exact = srw_escape_exact(tree, v)
             estimate, stderr = lcrw_escape_mc(tree, v, trials,
                                               derive(seed, "escape", name, v))
-            good = estimate >= exact - 3 * stderr
+            good = bool(estimate >= exact - 3 * stderr)
             ok = ok and good
             rows.append({"fixture": name, "start": v, "srw_exact": exact,
                          "lcrw_estimate": estimate, "stderr": stderr, "ok": good})

@@ -248,7 +248,7 @@ def srw_escape_exact(tree: DirectedMultigraph, v: VertexId) -> float:
         if h in tree.boundary:
             total += 1.0
         else:
-            total += sol[index[h]]
+            total += float(sol[index[h]])
     return total / len(out)
 
 

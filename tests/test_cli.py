@@ -134,6 +134,15 @@ def test_verify_exit_codes_and_report(tmp_path, capsys):
     assert "[invasion] PASS" in printed
 
 
+def test_verify_escape_reports_plain_values(tmp_path, capsys):
+    for fmt in ("json", "csv"):
+        assert run(["verify", "escape", "--fast", "--format", fmt,
+                    "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "escape.json").read_text())
+    assert report["ok"] is True and report["rows"]
+    assert "np." not in (tmp_path / "escape.csv").read_text()
+
+
 def test_verify_unknown_suite(capsys):
     assert run(["verify", "nonsense"]) == 1
 

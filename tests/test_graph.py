@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cleb.algorithms import cleb_walk
 from cleb.errors import (
     DisconnectedKeptSetError,
     NotACycleError,
@@ -24,6 +25,9 @@ from cleb.graph import (
     validate_arborescence,
     wire_boundary,
 )
+from cleb.families import RegularTree, coupled_assignment
+from cleb.util import derive
+from cleb.weights import Exponential
 
 
 def triangle_with_exit():
@@ -89,6 +93,7 @@ def test_uncontract_two_cycle_example():
     record = stack.contract_cycle([0, 1])
     arb = Arborescence({record.supervertex: 2})
     result = uncontract(stack, record, arb)
+    assert result is arb  # pulled back in place
     assert len(result.outgoing) == 2
     assert validate_arborescence(g, result).ok
     assert result.outgoing[2] == 2  # the exit edge leaves vertex 2
@@ -131,6 +136,20 @@ def test_pop_restores_previous_view():
     assert stack.n_live_vertices() == 4
     assert not stack.is_dead(0)
     assert stack.tail(0) == 1 and stack.head(0) == 2
+
+
+def test_stack_construction_is_lazy():
+    real = RegularTree(2).realize(14)
+    g = real.graph
+    stack = ContractionStack(g)
+    assert not stack._out and not stack._members
+    assert stack.n_live_vertices() == g.n_vertices
+    assign = coupled_assignment(Exponential(), derive(5, 14), real)
+    cleb_walk(g, assign, 1, stack=stack)
+    assert stack.records
+    contracted = sum(len(r.members) for r in stack.records)
+    assert len(stack._out) <= contracted
+    assert len(stack._members) <= contracted
 
 
 def test_wire_boundary_path_example():
