@@ -207,7 +207,7 @@ def _cmd_wired_limit(args) -> int:
     total = 0
     for s in range(cfg.get("seeds", 1)):
         report = wired_msa_sequence(family, model, radii, probes,
-                                    derive(cfg.get("seed", 0), "wired", s))
+                                    derive(cfg["seed"], "wired", s), cfg["step_cap"])
         for hist in report.probes:
             total += 1
             agree = len(set(hist.by_radius.values())) == 1
@@ -235,10 +235,11 @@ def _cmd_connectivity(args) -> int:
     violations = 0
     lines = ["seed_index,violations"]
     for s in range(cfg.get("seeds", 1)):
-        rng = _random.Random(derive(cfg.get("seed", 0), "conn-pairs", s))
+        rng = _random.Random(derive(cfg["seed"], "conn-pairs", s))
         pairs = [tuple(rng.sample(pool, 2)) for _ in range(n_pairs)]
         verdict = connectivity_monotonicity_check(family, model, radii, pairs,
-                                                  derive(cfg.get("seed", 0), "conn", s))
+                                                  derive(cfg["seed"], "conn", s),
+                                                  cfg["step_cap"])
         violations += len(verdict.violations)
         lines.append(f"{s},{len(verdict.violations)}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -246,11 +247,28 @@ def _cmd_connectivity(args) -> int:
     return 0 if violations == 0 else 1
 
 
+_CONFIG_KEYS = frozenset({"family", "family_seed", "model", "radii", "probes",
+                          "seeds", "seed", "pairs", "step_cap"})
+_REQUIRED_CONFIG_KEYS = ("family", "radii", "probes")
+
+
 def _exhaustion_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ConfigError(f"{args.config}: {err}") from err
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object")
+        unknown = sorted(set(cfg) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown keys {unknown}")
+        missing = [k for k in _REQUIRED_CONFIG_KEYS if k not in cfg]
+        if missing:
+            raise ConfigError(f"{args.config}: missing keys {missing}")
         cfg.setdefault("seed", getattr(args, "seed", 0))
+        cfg.setdefault("step_cap", args.step_cap)
         return cfg
     if not args.family:
         raise ConfigError("pass --family or --config")

@@ -362,28 +362,39 @@ class StabilizationReport:
 
 
 def wired_msa_sequence(family: GraphFamily, model: WeightModel, radii: Sequence[int],
-                       probes: Sequence[VertexId], master_seed: int) -> StabilizationReport:
+                       probes: Sequence[VertexId], master_seed: int,
+                       step_cap: int = 1_000_000) -> StabilizationReport:
     """Track probe vertices' outgoing arborescence edges across radii.
 
-    For each radius the minimal spanning arborescence of the wired ball is
-    computed under the coupled weights; the report records each probe's
+    Each probe's edge in the minimal spanning arborescence of a wired ball
+    comes from one walk from the probe plus :func:`recover_branch`
+    (criterion 5), under the coupled weights; the rest of the ball is never
+    solved.  A recovered branch is a sub-arborescence of the minimal one,
+    so within a radius every edge it holds is kept, and a probe already
+    covered by an earlier branch needs no walk.  The cost is the region the
+    probe walks explore, not the ball.  The report records each probe's
     outgoing edge (canonically) and where it stops changing within the
-    tested window.
+    tested window.  A walk that reaches `step_cap` raises
+    IncompleteWalkError.
     """
-    from .algorithms import cleb_walk_algorithm
+    from .algorithms import cleb_walk, recover_branch
 
     report = StabilizationReport(master_seed=master_seed, radii=sorted(radii),
                                  probes=[ProbeHistory(p, {}) for p in probes])
     for radius in report.radii:
         real = family.realize(radius)
         assign = coupled_assignment(model, master_seed, real)
-        arb, _ = cleb_walk_algorithm(real.graph, assign)
+        known: dict[VertexId, EdgeId] = {}
         for hist in report.probes:
             vertex = real.probe_map.get(hist.probe)
             if vertex is None:
                 raise PreconditionViolatedError(
                     f"probe {hist.probe} lies outside radius {radius}")
-            hist.by_radius[radius] = real.canonical[arb.outgoing[vertex]]
+            if vertex not in known:
+                record = cleb_walk(real.graph, assign, vertex, step_cap)
+                branch, _ = recover_branch(real.graph, record)
+                known.update(branch.outgoing)
+            hist.by_radius[radius] = real.canonical[known[vertex]]
     return report
 
 
@@ -400,8 +411,15 @@ class MonotonicityVerdict:
 def connectivity_monotonicity_check(family: GraphFamily, model: WeightModel,
                                     radii: Sequence[int],
                                     pairs: Sequence[tuple[VertexId, VertexId]],
-                                    master_seed: int) -> MonotonicityVerdict:
-    """Check that pairwise connectivity of probes never drops as radii grow."""
+                                    master_seed: int,
+                                    step_cap: int = 1_000_000) -> MonotonicityVerdict:
+    """Check that pairwise connectivity of probes never drops as radii grow.
+
+    Each radius is solved as a full MSA.  Chained walks
+    (:func:`chained_walk_connectivity`) give the same bits, but with ten
+    pairs per radius their walks on the line each cover most of the
+    segment, which made them slower there than one full solve.
+    """
     from .algorithms import cleb_walk_algorithm, connectivity_profile
 
     radii = sorted(radii)
@@ -409,7 +427,7 @@ def connectivity_monotonicity_check(family: GraphFamily, model: WeightModel,
     for radius in radii:
         real = family.realize(radius)
         assign = coupled_assignment(model, master_seed, real)
-        arb, _ = cleb_walk_algorithm(real.graph, assign)
+        arb, _ = cleb_walk_algorithm(real.graph, assign, step_cap=step_cap)
         try:
             local_pairs = [(real.probe_map[u], real.probe_map[v]) for u, v in pairs]
         except KeyError as err:

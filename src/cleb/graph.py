@@ -8,7 +8,7 @@ view exactly.
 
 Both directions cost only the region they touch.  Building a stack is
 O(1) apart from zeroing one dead-flag byte per edge: a supervertex copies
-its out-list and member list from the base graph on its first union.
+its out-list from the base graph on its first union.
 :func:`uncontract` pulls the arborescence back in place, so a full unwind
 is linear in the total size of the contracted cycles.
 """
@@ -158,9 +158,9 @@ class ContractionStack:
     ``potential(x)`` is the total amount ever subtracted from the outgoing
     edges of the supervertices that vertex ``x`` has belonged to.
 
-    Construction is lazy: a class root reads the base graph's out-list and
-    itself as its member list until its first union copies both.  A walk
-    therefore pays only for the region it explores.
+    Construction is lazy: a class root reads the base graph's out-list
+    until its first union copies it.  A walk therefore pays only for the
+    region it explores.
     """
 
     def __init__(self, graph: DirectedMultigraph, *, allow_compaction: bool = False):
@@ -176,9 +176,8 @@ class ContractionStack:
         self._racc: dict[int, object] = {}
         self._doff: dict[int, object] = {}
         # class root -> own outgoing edge list (may contain dead edges, filtered
-        # on read) and member list; absent until the root's first union
+        # on read); absent until the root's first union
         self._out: dict[int, list[EdgeId]] = {}
-        self._members: dict[int, list[VertexId]] = {}
         self._dead = bytearray(graph.n_edges)
         # liveness: base vertices absorbed into some supervertex, plus the
         # live supervertex labels in creation order
@@ -241,11 +240,6 @@ class ContractionStack:
             self._out[root] = live
             self._compacted = True
         return live
-
-    def members(self, v: VertexId) -> list[VertexId]:
-        """Base vertices currently contained in supervertex v."""
-        root = self._find(v)
-        return list(self._members.get(root, (root,)))
 
     # -- potentials (lazy weight subtraction) --------------------------
 
@@ -336,15 +330,13 @@ class ContractionStack:
         out_a = self._out.get(ra)
         if out_a is None:
             out_a = self._out[ra] = list(self.base._out[ra])
-        mem_a = self._members.setdefault(ra, [ra])
-        undo["unions"].append((rb, ra, len(out_a), len(mem_a),
-                               self._size.get(ra, 1), self._label.pop(rb, None)))
+        undo["unions"].append((rb, ra, len(out_a), self._size.get(ra, 1),
+                               self._label.pop(rb, None)))
         self._parent[rb] = ra
         self._size[ra] = self._size.get(ra, 1) + self._size.get(rb, 1)
         # keep members' accumulated potential unchanged across the merge
         self._doff[rb] = self._racc.get(rb, 0) - self._racc.get(ra, 0)
         out_a.extend(self._out_list(rb))
-        mem_a.extend(self._members.get(rb, (rb,)))
         return ra
 
     def pop(self) -> ContractionRecord:
@@ -367,12 +359,11 @@ class ContractionStack:
         else:
             self._label[root] = old_label
         del self._parent[undo["label_node"]]
-        for rb, ra, out_len, mem_len, old_size, old_label_b in reversed(undo["unions"]):
+        for rb, ra, out_len, old_size, old_label_b in reversed(undo["unions"]):
             del self._parent[rb]
             self._size[ra] = old_size
             self._doff.pop(rb, None)
             del self._out[ra][out_len:]
-            del self._members[ra][mem_len:]
             if old_label_b is not None:
                 self._label[rb] = old_label_b
         for e in undo["dead"]:

@@ -23,7 +23,7 @@ from .errors import (
     TooLargeError,
 )
 from .graph import Arborescence, DirectedMultigraph, EdgeId, VertexId, future_edges, meet_vertex
-from .util import mix64
+from .util import mix64, mix64_array, u01_from_bits
 from .weights import (
     DEFAULT_TOLERANCE,
     Exponential,
@@ -169,25 +169,10 @@ class InstanceDistributionReport:
 
 
 def _u01_grid(seed: int, rows: np.ndarray, n_cols: int) -> np.ndarray:
-    """Vectorized per-(replica, edge) uniforms: chain-mixed like util.derive."""
-    h0 = np.uint64(mix64(seed))
-    golden = np.uint64(0x9E3779B97F4A7C15)
-    m1 = np.uint64(0xBF58476D1CE4E5B9)
-    m2 = np.uint64(0x94D049BB133111EB)
-
-    def smix(x):
-        x = x + golden
-        x ^= x >> np.uint64(30)
-        x *= m1
-        x ^= x >> np.uint64(27)
-        x *= m2
-        x ^= x >> np.uint64(31)
-        return x
-
-    h1 = smix(rows.astype(np.uint64) ^ h0)
+    """Vectorized per-(replica, edge) uniforms: u01(seed, row, col) for every cell."""
+    h1 = mix64_array(rows.astype(np.uint64) ^ np.uint64(mix64(seed)))
     cols = np.arange(n_cols, dtype=np.uint64)
-    h2 = smix(h1[:, None] ^ cols[None, :])
-    return h2.astype(np.float64) / 2.0**64
+    return u01_from_bits(mix64_array(h1[:, None] ^ cols[None, :]))
 
 
 def _sample_weight_matrix(model: WeightModel, seed: int, rows: np.ndarray,

@@ -63,16 +63,29 @@ def u01(*parts) -> float:
     return x if x < 1.0 else _BELOW_ONE
 
 
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`mix64` of a uint64 array (a new array)."""
+    x = x + np.uint64(_GOLDEN)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def u01_from_bits(h: np.ndarray) -> np.ndarray:
+    """Map uint64 hashes to [0, 1) as :func:`u01` does, clamping the
+    hashes that round up to 1.0."""
+    x = h.astype(np.float64)
+    x /= 2.0**64
+    return np.minimum(x, _BELOW_ONE, out=x)
+
+
 def u01_array(seed: int, keys: np.ndarray) -> np.ndarray:
     """Vectorized u01(seed, k) for an array of integer keys.
 
     Matches the scalar path exactly provided every key fits in 64 bits;
     larger keys must go through the scalar path.
     """
-    x = (np.asarray(keys, dtype=np.uint64) ^ np.uint64(mix64(seed))) + np.uint64(_GOLDEN)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
-    return np.minimum(x.astype(np.float64) / 2.0**64, _BELOW_ONE)
+    return u01_from_bits(mix64_array(np.asarray(keys, dtype=np.uint64) ^ np.uint64(mix64(seed))))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cleb.cli import main
 from cleb.graph import dump_graph_json
 from cleb.instances import random_symmetric_instance
@@ -173,3 +175,33 @@ def test_missing_weights_is_config_error(tmp_path, capsys):
     path = tmp_path / "nw.json"
     dump_graph_json(path, g)
     assert run(["msa", "--graph", str(path)]) == 2
+
+
+def test_exhaustion_commands_honour_step_cap(tmp_path, capsys):
+    code = run(["wired-limit", "--family", "tree:2", "--radii", "8", "--probes", "1",
+                "--step-cap", "1"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    code = run(["connectivity", "--family", "tree:3", "--radii", "2,3",
+                "--probes", "1,2,3,4", "--pairs", "1", "--step-cap", "1"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"family": "tree:2", "radii": [8], "probes": [1],
+                               "step_cap": 1}))
+    assert run(["wired-limit", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("body", [
+    {"family": "tree:2", "radii": [3], "probes": [1], "radius": [4]},
+    {"family": "tree:2", "radii": [3]},
+    {"radii": [3], "probes": [1]},
+    ["tree:2"],
+    "{not json",
+])
+@pytest.mark.parametrize("command", ["wired-limit", "connectivity"])
+def test_bad_exhaustion_config_is_config_error(tmp_path, capsys, command, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body if isinstance(body, str) else json.dumps(body))
+    assert run([command, "--config", str(cfg)]) == 2
+    assert "config error:" in capsys.readouterr().err

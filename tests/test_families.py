@@ -1,7 +1,7 @@
 import pytest
 
 from cleb.algorithms import cleb_walk_algorithm
-from cleb.errors import PreconditionViolatedError, TooLargeError
+from cleb.errors import IncompleteWalkError, PreconditionViolatedError, TooLargeError
 from cleb.families import (
     BoundedSubdivision,
     GaltonWatson,
@@ -154,6 +154,68 @@ def test_wired_msa_sequence_reports_probe_history():
     if len(set(hist.by_radius.values())) == 1:
         assert hist.stabilization_radius() == 3
         assert not hist.censored
+
+
+def _full_msa_probe_edges(family, model, radii, probes, seed):
+    """Reference: every probe's canonical edge read off a full MSA per radius."""
+    edges = {}
+    for radius in radii:
+        real = family.realize(radius)
+        arb, _ = cleb_walk_algorithm(real.graph, coupled_assignment(model, seed, real))
+        for p in probes:
+            edges[p, radius] = real.canonical[arb.outgoing[real.probe_map[p]]]
+    return edges
+
+
+_LATTICE = LatticeBox(2)
+_DIFFERENTIAL_CASES = [
+    ("tree:2", (8, 10, 12), (1, 2, 3, 6), range(14)),
+    ("tree:3", (4, 5, 6), tuple(range(1, 14)), range(4)),
+    ("path", (10, 20, 40), tuple(range(6)), range(6)),
+    ("lattice:2", (5, 8, 12), (_LATTICE._vcode((0, 0)), _LATTICE._vcode((1, 0))), range(4)),
+    ("gw:0.5", (4, 6, 8), (1, 14, 14 * 13 + 1), range(4)),  # root, child, grandchild
+    ("subdiv:2:3", (3, 4, 5), (1, 2, 3), range(4)),
+]
+
+
+@pytest.mark.parametrize("spec,radii,probes,seeds", _DIFFERENTIAL_CASES,
+                         ids=[case[0] for case in _DIFFERENTIAL_CASES])
+def test_wired_msa_sequence_matches_full_msa(spec, radii, probes, seeds):
+    family = parse_family(spec, seed=7)
+    for s in seeds:
+        seed = derive(8080, spec, s)
+        report = wired_msa_sequence(family, Exponential(1.0), radii, probes, seed)
+        got = {(h.probe, r): e for h in report.probes for r, e in h.by_radius.items()}
+        assert got == _full_msa_probe_edges(family, Exponential(1.0), radii, probes, seed)
+
+
+def test_wired_msa_sequence_is_walk_local(monkeypatch):
+    """Probe answers never solve the whole ball, and a probe inside an
+    earlier probe's recovered branch costs no walk."""
+    import cleb.algorithms as algorithms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wired_msa_sequence solved a whole ball")
+
+    walks = []
+    real_walk = algorithms.cleb_walk
+
+    def counting_walk(*args, **kwargs):
+        walks.append(args[2])
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "cleb_walk_algorithm", refuse)
+    monkeypatch.setattr(algorithms, "cleb_walk", counting_walk)
+    probes = list(range(6))
+    report = wired_msa_sequence(PathSegment(), Exponential(1.0), [10, 20, 40], probes,
+                                derive(8081))
+    assert all(len(h.by_radius) == 3 for h in report.probes)
+    assert len(walks) < 3 * len(probes)
+
+
+def test_wired_msa_sequence_step_cap_raises():
+    with pytest.raises(IncompleteWalkError):
+        wired_msa_sequence(RegularTree(2), Exponential(1.0), [8], [1], 0, step_cap=1)
 
 
 def test_forced_weights_stabilize_at_smallest_radius():

@@ -142,14 +142,13 @@ def test_stack_construction_is_lazy():
     real = RegularTree(2).realize(14)
     g = real.graph
     stack = ContractionStack(g)
-    assert not stack._out and not stack._members
+    assert not stack._out
     assert stack.n_live_vertices() == g.n_vertices
     assign = coupled_assignment(Exponential(), derive(5, 14), real)
     cleb_walk(g, assign, 1, stack=stack)
     assert stack.records
     contracted = sum(len(r.members) for r in stack.records)
     assert len(stack._out) <= contracted
-    assert len(stack._members) <= contracted
 
 
 def test_wire_boundary_path_example():

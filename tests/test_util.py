@@ -1,6 +1,8 @@
 import math
 
-from cleb import util
+import numpy as np
+
+from cleb import oracle, util
 from cleb.families import LatticeBox
 from cleb.util import derive, u01
 from cleb.weights import Exponential
@@ -33,3 +35,12 @@ def test_u01_stays_below_one(monkeypatch):
     assert math.isfinite(Exponential().sample(3, 4))
     monkeypatch.setattr(util, "derive", lambda *parts: 2**63)
     assert u01(3, 4) == 0.5
+
+
+def test_vectorized_u01_stays_below_one(monkeypatch):
+    top = np.array([2**64 - 1, 2**63], dtype=np.uint64)
+    assert list(util.u01_from_bits(top)) == [math.nextafter(1.0, 0.0), 0.5]
+    monkeypatch.setattr(oracle, "mix64_array", lambda x: np.full(x.shape, 2**64 - 1,
+                                                                   dtype=np.uint64))
+    w = oracle._sample_weight_matrix(Exponential(), 3, np.arange(4, dtype=np.uint64), 5)
+    assert w.shape == (4, 5) and np.isfinite(w).all()
