@@ -9,7 +9,9 @@ Three front-ends share one engine:
 * :func:`cleb_walk` is the sequential variant whose next vertex is always
   the head of the last exposed edge (or the freshly contracted vertex),
   and :func:`cleb_walk_algorithm` chains such walks over a growing
-  boundary until the graph is exhausted.
+  boundary until the graph is exhausted.  Its loop takes the step rule
+  as an argument and also drives the uniform loop-contracting walk of
+  :mod:`cleb.walks`.
 
 All variants end with the same backward pass: popping contraction records
 in reverse and pulling the arborescence through each one.  Exposed edges
@@ -281,16 +283,21 @@ def sequential_cleb(graph: DirectedMultigraph, assign: WeightAssignment,
     return _unwind(stack, arb), exp.log
 
 
-@dataclass
+@dataclass(slots=True)
 class WalkStep:
     step: int
     vertex: VertexId
     edge: EdgeId
-    pi: object
+    pi: object  # effective weight at exposure; None for the uniform walk
     event: str  # "extend" | "contract" | "hit_boundary"
     cut: int | None = None  # path length a contraction folded back to
     record: ContractionRecord | None = None
     path_len: int = 0  # live path edges after this step
+
+    @property
+    def cycle_len(self) -> int:
+        """Contracted cycle length (0 unless contracting)."""
+        return len(self.record.cycle) if self.record is not None else 0
 
 
 @dataclass
@@ -310,23 +317,67 @@ class EpochSummary:
 
 @dataclass
 class WalkRecord:
-    """Complete log of a single walk, with retrospective epoch analysis."""
+    """Complete log of a single contracting walk (by minimum or uniform
+    steps), with path statistics and retrospective epoch analysis."""
 
     start: VertexId
     steps: list[WalkStep]
-    log: ExposureLog
     terminal: str  # HIT_BOUNDARY or STEP_CAP
-    censored: bool = False
+    log: ExposureLog | None = None  # exposure log; None for the uniform walk
 
-    def path_after(self, t: int) -> tuple[EdgeId, ...]:
-        """Live exposed path after step t (edge ids, in order)."""
-        path: list[EdgeId] = []
-        for s in self.steps[:t]:
-            if s.event == "contract":
-                del path[s.cut:]
-            else:
-                path.append(s.edge)
-        return tuple(path)
+    @property
+    def censored(self) -> bool:
+        return self.terminal == STEP_CAP
+
+    @property
+    def exposed(self) -> list[EdgeId]:
+        return [s.edge for s in self.steps]
+
+    def returns_to_empty(self) -> int:
+        return sum(1 for s in self.steps if s.path_len == 0)
+
+    def max_path_len(self) -> int:
+        return max((s.path_len for s in self.steps), default=0)
+
+    def increments(self) -> list[int]:
+        out = []
+        prev = 0
+        for s in self.steps:
+            out.append(s.path_len - prev)
+            prev = s.path_len
+        return out
+
+    def fair_step_counts(self) -> tuple[int, int]:
+        """(up, down) counts over steps taken from a non-empty live path.
+
+        From an empty path every outgoing edge extends, so the +1 there is
+        forced; the fair-coin behaviour of the path length on the line is
+        a statement about the remaining steps.
+        """
+        up = down = 0
+        prev = 0
+        for s in self.steps:
+            if prev > 0:
+                if s.path_len > prev:
+                    up += 1
+                elif s.path_len < prev:
+                    down += 1
+            prev = s.path_len
+        return up, down
+
+    def write_csv(self, path, positions: Sequence[tuple[int, int]] | None = None) -> None:
+        """CSV trace: step,event,path_len,cycle_len[,x,y]."""
+        with open(path, "w") as fh:
+            header = "step,event,path_len,cycle_len"
+            if positions is not None:
+                header += ",x,y"
+            fh.write(header + "\n")
+            for i, s in enumerate(self.steps, 1):
+                row = f"{i},{s.event},{s.path_len},{s.cycle_len}"
+                if positions is not None:
+                    x, y = positions[i - 1]
+                    row += f",{x},{y}"
+                fh.write(row + "\n")
 
     def final_path(self) -> list[WalkStep]:
         """Steps whose edges survive on the live path at termination."""
@@ -337,9 +388,6 @@ class WalkRecord:
             else:
                 path.append(s)
         return path
-
-    def max_path_len(self) -> int:
-        return max((s.path_len for s in self.steps), default=0)
 
     def epochs(self) -> list[EpochSummary]:
         """Split the walk at the placements of its permanent path edges.
@@ -370,6 +418,58 @@ class WalkRecord:
         return out
 
 
+def _contracting_walk(stack: ContractionStack, start: VertexId, step_cap: int,
+                      absorbing: set[VertexId],
+                      reveal: Callable[[VertexId], tuple[EdgeId, object]],
+                      contract: Callable[[list[EdgeId]], ContractionRecord]
+                      ) -> tuple[list[WalkStep], str]:
+    """The contracting-walk loop, under a caller-supplied step rule.
+
+    ``reveal(v)`` picks the next edge out of the live supervertex v and
+    returns it with its effective weight; ``contract(cycle)`` folds a
+    closed loop of the live path into a supervertex and returns its
+    record.  The loop owns the live path: a head in `absorbing` ends the
+    walk, a head on the path closes a loop, anything else extends the
+    path.  Reaching `step_cap` is an outcome, not an error.  Returns the
+    steps and the terminal.
+    """
+    current = stack.resolve(start)
+    if current in absorbing:
+        raise BadChooserError(f"walk start {start} is absorbing")
+    path_vertices = [current]
+    pos = {current: 0}
+    path_edges: list[EdgeId] = []
+    steps: list[WalkStep] = []
+    head = stack.head
+    while len(steps) < step_cap:
+        edge, pi = reveal(current)
+        h = head(edge)
+        t = len(steps) + 1
+        if h in absorbing:
+            steps.append(WalkStep(t, current, edge, pi, "hit_boundary",
+                                  None, None, len(path_edges) + 1))
+            return steps, HIT_BOUNDARY
+        j = pos.get(h)
+        if j is None:
+            pos[h] = len(path_vertices)
+            path_vertices.append(h)
+            path_edges.append(edge)
+            steps.append(WalkStep(t, current, edge, pi, "extend", None, None, len(path_edges)))
+            current = h
+        else:
+            path_edges.append(edge)
+            record = contract(path_edges[j:])
+            for v in path_vertices[j:]:
+                del pos[v]
+            del path_vertices[j:]
+            del path_edges[j:]
+            steps.append(WalkStep(t, current, edge, pi, "contract", j, record, j))
+            current = record.supervertex
+            path_vertices.append(current)
+            pos[current] = j
+    return steps, STEP_CAP
+
+
 def cleb_walk(graph: DirectedMultigraph, assign: WeightAssignment, start: VertexId,
               step_cap: int = 1_000_000, *, stack: ContractionStack | None = None,
               exposure: _Exposure | None = None,
@@ -385,48 +485,19 @@ def cleb_walk(graph: DirectedMultigraph, assign: WeightAssignment, start: Vertex
     exp = exposure if exposure is not None else _Exposure(stack, assign)
     if absorbing is None:
         absorbing = {stack.resolve(b) for b in graph.boundary}
-    current = stack.resolve(start)
-    if current in absorbing:
-        raise BadChooserError(f"walk start {start} is absorbing")
-    path_vertices = [current]
-    pos = {current: 0}
-    steps: list[WalkStep] = []
-    terminal = STEP_CAP
-    while len(steps) < step_cap:
+
+    def reveal(v: VertexId) -> tuple[EdgeId, object]:
         try:
-            estep = exp.reveal(current)
+            estep = exp.reveal(v)
         except NoOutgoingEdgeError as err:
             raise DisconnectedError(str(err)) from err
-        h = stack.head(estep.edge)
-        t = len(steps) + 1
-        if h in absorbing:
-            steps.append(WalkStep(t, current, estep.edge, estep.pi, "hit_boundary",
-                                  path_len=len(path_vertices)))
-            terminal = HIT_BOUNDARY
-            break
-        j = pos.get(h)
-        if j is None:
-            steps.append(WalkStep(t, current, estep.edge, estep.pi, "extend",
-                                  path_len=len(path_vertices)))
-            path_vertices.append(h)
-            pos[h] = len(path_vertices) - 1
-            current = h
-        else:
-            cycle = [exp.exposed_out[path_vertices[i]]
-                     for i in range(j, len(path_vertices) - 1)]
-            cycle.append(estep.edge)
-            record = exp.contract(cycle, estep)
-            for v in path_vertices[j:]:
-                del pos[v]
-            del path_vertices[j:]
-            vc = record.supervertex
-            path_vertices.append(vc)
-            pos[vc] = j
-            steps.append(WalkStep(t, current, estep.edge, estep.pi, "contract",
-                                  cut=j, record=record, path_len=j))
-            current = vc
-    return WalkRecord(start=start, steps=steps, log=exp.log, terminal=terminal,
-                      censored=(terminal == STEP_CAP))
+        return estep.edge, estep.pi
+
+    def contract(cycle: list[EdgeId]) -> ContractionRecord:
+        return exp.contract(cycle, exp.log.steps[-1])
+
+    steps, terminal = _contracting_walk(stack, start, step_cap, absorbing, reveal, contract)
+    return WalkRecord(start, steps, terminal, exp.log)
 
 
 def cleb_walk_algorithm(graph: DirectedMultigraph, assign: WeightAssignment,

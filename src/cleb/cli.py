@@ -19,11 +19,17 @@ from .util import derive
 from .weights import Fixed, WeightAssignment, parse_model_spec
 
 
-def _load_instance(args) -> tuple:
+def _read_graph(args) -> tuple:
+    """(graph, embedded weights or None, file edge ids) of --graph, which
+    names an instance file or fixture:<name>."""
     path = args.graph
     if path.startswith("fixture:"):
         path = fixture_path(path[len("fixture:"):])
-    graph, embedded, file_ids = load_graph_json(path)
+    return load_graph_json(path)
+
+
+def _load_instance(args) -> tuple:
+    graph, embedded, file_ids = _read_graph(args)
     spec = getattr(args, "weights", None)
     if spec:
         model = parse_model_spec(spec)
@@ -79,7 +85,7 @@ def _cmd_cleb_walk(args) -> int:
 def _cmd_lcrw(args) -> int:
     from .walks import lcrw_run
 
-    graph, _, _ = _load_instance_weightless(args)
+    graph, _, _ = _read_graph(args)
     trace, _ = lcrw_run(graph, args.start, args.step_cap, args.seed)
     if args.out:
         trace.write_csv(args.out)
@@ -87,14 +93,6 @@ def _cmd_lcrw(args) -> int:
           f"{trace.returns_to_empty()} returns to a point"
           + (f" -> {args.out}" if args.out else ""))
     return 0
-
-
-def _load_instance_weightless(args):
-    path = args.graph
-    if path.startswith("fixture:"):
-        path = fixture_path(path[len("fixture:"):])
-    graph, embedded, file_ids = load_graph_json(path)
-    return graph, embedded, file_ids
 
 
 def _cmd_lcrw_grid(args) -> int:
@@ -166,7 +164,7 @@ def _cmd_dist_compare(args) -> int:
     from .errors import PreconditionViolatedError
     from .oracle import msa_distribution
 
-    graph, _, file_ids = _load_instance_weightless(args)
+    graph, _, file_ids = _read_graph(args)
     back = {fid: i for i, fid in enumerate(file_ids)}
     target_sig = None
     if args.target:
@@ -250,10 +248,15 @@ def _cmd_connectivity(args) -> int:
 _CONFIG_KEYS = frozenset({"family", "family_seed", "model", "radii", "probes",
                           "seeds", "seed", "pairs", "step_cap"})
 _REQUIRED_CONFIG_KEYS = ("family", "radii", "probes")
+# flags that only describe the run when no --config file does
+_FLAG_ONLY = ("family", "weights", "radii", "probes", "seeds", "pairs")
 
 
 def _exhaustion_config(args) -> dict:
     if getattr(args, "config", None):
+        clash = [f"--{k}" for k in _FLAG_ONLY if getattr(args, k, None) is not None]
+        if clash:
+            raise ConfigError(f"{', '.join(clash)} cannot be combined with --config")
         with open(args.config) as fh:
             try:
                 cfg = json.load(fh)
@@ -279,8 +282,9 @@ def _exhaustion_config(args) -> dict:
     return {"family": args.family, "model": args.weights or "exp1",
             "radii": [int(r) for r in args.radii.split(",")],
             "probes": [int(p) for p in args.probes.split(",")],
-            "seeds": args.seeds, "seed": args.seed,
-            "pairs": getattr(args, "pairs", 10), "step_cap": args.step_cap}
+            "seeds": 1 if args.seeds is None else args.seeds, "seed": args.seed,
+            "pairs": 10 if getattr(args, "pairs", None) is None else args.pairs,
+            "step_cap": args.step_cap}
 
 
 def _cmd_verify(args) -> int:
@@ -317,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--step-cap", type=int, default=1_000_000)
         p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         if graph:
             p.add_argument("--graph", required=True,
                            help="instance file or fixture:<name>")
@@ -328,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("msa", help="minimum arborescence of an instance")
     common(p, graph=True)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_msa)
 
     p = sub.add_parser("cleb-walk", help="single contracting walk with a JSONL log")
@@ -368,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights")
     p.add_argument("--radii")
     p.add_argument("--probes")
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--seeds", type=int)
     p.add_argument("--config", help="JSON file with family/model/radii/probes/seeds")
     p.set_defaults(fn=_cmd_wired_limit)
 
@@ -378,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights")
     p.add_argument("--radii")
     p.add_argument("--probes")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--pairs", type=int)
+    p.add_argument("--seeds", type=int)
     p.add_argument("--config")
     p.set_defaults(fn=_cmd_connectivity)
 

@@ -10,7 +10,7 @@ coupled weight collection across the whole exhaustion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ConfigError, PreconditionViolatedError, TooLargeError
 from .graph import Arborescence, DirectedMultigraph, EdgeId, VertexId, build_graph
@@ -65,6 +65,39 @@ class PathSegment(GraphFamily):
         return Realization(graph, canon, probe)
 
 
+def _tree_ball(children: Callable[[VertexId], list[VertexId]], radius: int) -> Realization:
+    """Rooted tree (root 1) wired at depth `radius` into boundary vertex 0.
+
+    Levels are built breadth first in `children` order; the edges to a
+    child are canonically 2*child (downward) and 2*child + 1 (upward), so
+    vertex ids double as canonical vertex ids.  The ball is refused as
+    soon as a level pushes it past 2,000,000 vertices.
+    """
+    vertices = [0, 1]
+    edges: list[tuple[int, int]] = []
+    canon: list[int] = []
+    level = [1]
+    for depth in range(radius):
+        wired = depth == radius - 1
+        nxt = []
+        for parent in level:
+            for child in children(parent):
+                head = 0 if wired else child
+                edges.append((parent, head))
+                canon.append(2 * child)
+                edges.append((head, parent))
+                canon.append(2 * child + 1)
+                if not wired:
+                    vertices.append(child)
+                    nxt.append(child)
+        if len(vertices) > 2_000_000:
+            raise TooLargeError("branching ball too large")
+        level = nxt
+    graph = build_graph(vertices, [0], edges)
+    probe = {v: v for v in vertices if v != 0}
+    return Realization(graph, canon, probe)
+
+
 class RegularTree(GraphFamily):
     """Rooted tree where every vertex has `arity` children, wired at depth r.
 
@@ -89,26 +122,7 @@ class RegularTree(GraphFamily):
             raise PreconditionViolatedError("radius must be at least 1")
         if self.arity ** radius > 2_000_000:
             raise TooLargeError("tree ball too large")
-        vertices = [0, 1]
-        edges: list[tuple[int, int]] = []
-        canon: list[int] = []
-        level = [1]
-        for depth in range(radius):
-            nxt = []
-            for parent in level:
-                for child in self.children(parent):
-                    head = child if depth < radius - 1 else 0
-                    edges.append((parent, head))
-                    canon.append(2 * child)
-                    edges.append((head, parent))
-                    canon.append(2 * child + 1)
-                    if depth < radius - 1:
-                        vertices.append(child)
-                        nxt.append(child)
-            level = nxt
-        graph = build_graph(vertices, [0], edges)
-        probe = {v: v for v in vertices if v != 0}
-        return Realization(graph, canon, probe)
+        return _tree_ball(self.children, radius)
 
 
 class LatticeBox(GraphFamily):
@@ -216,28 +230,7 @@ class GaltonWatson(GraphFamily):
         return [v * base + i for i in range(1, self.offspring(v) + 1)]
 
     def realize(self, radius: int) -> Realization:
-        vertices = [0, 1]
-        edges: list[tuple[int, int]] = []
-        canon: list[int] = []
-        level = [1]
-        for depth in range(radius):
-            nxt = []
-            for parent in level:
-                for child in self.children(parent):
-                    head = child if depth < radius - 1 else 0
-                    edges.append((parent, head))
-                    canon.append(2 * child)
-                    edges.append((head, parent))
-                    canon.append(2 * child + 1)
-                    if depth < radius - 1:
-                        vertices.append(child)
-                        nxt.append(child)
-            if len(vertices) > 2_000_000:
-                raise TooLargeError("branching ball too large")
-            level = nxt
-        graph = build_graph(vertices, [0], edges)
-        probe = {v: v for v in vertices if v != 0}
-        return Realization(graph, canon, probe)
+        return _tree_ball(self.children, radius)
 
 
 class BoundedSubdivision(GraphFamily):
@@ -466,10 +459,9 @@ def transience_trace(family: GraphFamily, radius: int, start: VertexId,
     else:
         real = family.realize(radius)
     vertex = real.probe_map[start]
-    track = real.coords is not None
-    trace, heads = lcrw_run(real.graph, vertex, step_cap, seed, track_heads=track)
+    trace, heads = lcrw_run(real.graph, vertex, step_cap, seed)
     positions = None
-    if track:
+    if real.coords is not None:
         positions = []
         last = real.coords[vertex]
         for h in heads:

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .algorithms import HIT_BOUNDARY, STEP_CAP, WalkRecord, _contracting_walk
 from .errors import (
+    ConfigError,
     PreconditionViolatedError,
     SingularSystemError,
     StepCapReachedError,
@@ -34,142 +36,35 @@ from .graph import (
 from .util import derive
 from .weights import WeightAssignment
 
-HIT_BOUNDARY = "hit_boundary"
-HIT_START = "hit_start"
-STEP_CAP = "step_cap_reached"
-
-
-@dataclass
-class LcrwStep:
-    event: str  # "extend" | "contract" | "hit_boundary"
-    edge: EdgeId
-    path_len: int          # live path edges after the step
-    cycle_len: int = 0     # contracted cycle length (0 unless contracting)
-
-
-@dataclass
-class LcrwTrace:
-    """Per-step log of one loop-contracting random walk."""
-
-    start: VertexId
-    steps: list[LcrwStep]
-    terminal: str
-    exposed: list[EdgeId] = field(default_factory=list)
-
-    def path_len_series(self) -> list[int]:
-        return [s.path_len for s in self.steps]
-
-    def returns_to_empty(self) -> int:
-        return sum(1 for s in self.steps if s.path_len == 0)
-
-    def max_path_len(self) -> int:
-        return max((s.path_len for s in self.steps), default=0)
-
-    def increments(self) -> list[int]:
-        out = []
-        prev = 0
-        for s in self.steps:
-            out.append(s.path_len - prev)
-            prev = s.path_len
-        return out
-
-    def fair_step_counts(self) -> tuple[int, int]:
-        """(up, down) counts over steps taken from a non-empty live path.
-
-        From an empty path every outgoing edge extends, so the +1 there is
-        forced; the fair-coin behaviour of the path length on the line is
-        a statement about the remaining steps.
-        """
-        up = down = 0
-        prev = 0
-        for s in self.steps:
-            if prev > 0:
-                if s.path_len > prev:
-                    up += 1
-                elif s.path_len < prev:
-                    down += 1
-            prev = s.path_len
-        return up, down
-
-    def write_csv(self, path, positions: Sequence[tuple[int, int]] | None = None) -> None:
-        """CSV trace: step,event,path_len,cycle_len[,x,y]."""
-        with open(path, "w") as fh:
-            header = "step,event,path_len,cycle_len"
-            if positions is not None:
-                header += ",x,y"
-            fh.write(header + "\n")
-            for i, s in enumerate(self.steps, 1):
-                row = f"{i},{s.event},{s.path_len},{s.cycle_len}"
-                if positions is not None:
-                    x, y = positions[i - 1]
-                    row += f",{x},{y}"
-                fh.write(row + "\n")
-
 
 def lcrw_run(graph: DirectedMultigraph, start: VertexId, step_cap: int,
-             seed: int, *, boundary: set[VertexId] | None = None,
-             stop_at_start: bool = False,
-             track_heads: bool = False) -> tuple[LcrwTrace, list[VertexId]]:
+             seed: int) -> tuple[WalkRecord, list[VertexId]]:
     """Uniform walk on the evolving contracted graph, folding closed loops.
 
     Each step picks uniformly among the live outgoing edges of the current
-    supervertex.  A head landing on the live path contracts the loop; a
-    head in the boundary ends the walk; reaching the cap is an outcome.
-    With ``stop_at_start`` the walk also ends (terminal ``hit_start``) when
-    an edge points back at the start vertex, which stays uncontracted
-    until then.
+    supervertex; otherwise this is the contracting walk: a head landing on
+    the live path contracts the loop, a head in the boundary ends the walk,
+    and reaching the cap is an outcome.  The record carries no exposure
+    log.
 
-    Returns the trace plus (when ``track_heads``) the base-graph head of
-    each step's edge, for lattice drawings.
+    Returns the record plus the base-graph head of each step's edge, for
+    lattice drawings.
     """
     stack = ContractionStack(graph, allow_compaction=True)
-    rng = random.Random(derive(seed, "lcrw"))
-    stop = {stack.resolve(b) for b in (boundary if boundary is not None else graph.boundary)}
-    current = stack.resolve(start)
-    path_vertices = [current]
-    pos = {current: 0}
-    path_edges: list[EdgeId] = []
-    steps: list[LcrwStep] = []
-    heads: list[VertexId] = []
-    exposed: list[EdgeId] = []
-    terminal = STEP_CAP
-    while len(steps) < step_cap:
-        out = stack.out_edges(current)
+    randrange = random.Random(derive(seed, "lcrw")).randrange
+
+    def uniform_edge(v: VertexId) -> tuple[EdgeId, None]:
+        out = stack.out_edges(v)
         if not out:
-            raise PreconditionViolatedError(f"supervertex {current} has no outgoing edge")
-        edge = out[rng.randrange(len(out))]
-        exposed.append(edge)
-        if track_heads:
-            heads.append(graph.heads[edge])
-        h = stack.head(edge)
-        if h in stop:
-            steps.append(LcrwStep("hit_boundary", edge, len(path_edges) + 1))
-            terminal = HIT_BOUNDARY
-            break
-        if stop_at_start and h == path_vertices[0]:
-            steps.append(LcrwStep("hit_start", edge, 0))
-            terminal = HIT_START
-            break
-        j = pos.get(h)
-        if j is None:
-            path_vertices.append(h)
-            pos[h] = len(path_vertices) - 1
-            path_edges.append(edge)
-            steps.append(LcrwStep("extend", edge, len(path_edges)))
-            current = h
-        else:
-            cycle = path_edges[j:] + [edge]
-            record = stack.contract_cycle(cycle)
-            for v in path_vertices[j:]:
-                del pos[v]
-            del path_vertices[j:]
-            del path_edges[j:]
-            vc = record.supervertex
-            path_vertices.append(vc)
-            pos[vc] = j
-            steps.append(LcrwStep("contract", edge, len(path_edges), cycle_len=len(cycle)))
-            current = vc
-    return LcrwTrace(start=start, steps=steps, terminal=terminal, exposed=exposed), heads
+            raise PreconditionViolatedError(f"supervertex {v} has no outgoing edge")
+        return out[randrange(len(out))], None
+
+    absorbing = {stack.resolve(b) for b in graph.boundary}
+    steps, terminal = _contracting_walk(stack, start, step_cap, absorbing,
+                                        uniform_edge, stack.contract_cycle)
+    record = WalkRecord(start, steps, terminal)
+    heads = graph.heads
+    return record, [heads[s.edge] for s in steps]
 
 
 # -- glued trees and escape probabilities -------------------------------
@@ -444,11 +339,10 @@ def first_epoch_contraction_sets(graph: DirectedMultigraph, assign: WeightAssign
     loops are exactly the contractions the deterministic walk performs
     before leaving the start vertex for good.
     """
-    from .algorithms import HIT_BOUNDARY as WALK_HIT
     from .algorithms import cleb_walk
 
     record = cleb_walk(graph, assign, start)
-    if record.terminal != WALK_HIT:
+    if record.terminal != HIT_BOUNDARY:
         raise StepCapReachedError("contracting walk hit the step cap")
     epoch = record.epochs()[0]
     cycle_edges: set[EdgeId] = set()
@@ -484,22 +378,28 @@ def wilson_sandwich_trial(graph: DirectedMultigraph, base_weights: dict[EdgeId, 
     contraction sets of the deterministic walk on the same weights.
 
     Capped runs count as failures.  Also returns one representative report
-    (largest beta, first trial) for inspection.
+    (largest beta, first trial) for inspection.  Each beta's random streams
+    are keyed by ``int(beta * 1000)``, so betas sharing that key in one call
+    are a ConfigError.
     """
     from .weights import BoltzmannConductance, Fixed
 
+    keys = [int(beta * 1000) for beta in betas]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"betas {list(betas)} share random streams "
+                          "(keys are int(beta * 1000))")
     assign = WeightAssignment(Fixed(dict(base_weights)), 0)
     lower, upper = first_epoch_contraction_sets(graph, assign, start)
     results = []
     sample_report: ErasedEdgeReport | None = None
-    for beta in betas:
+    for beta, key in zip(betas, keys):
         conductances = WeightAssignment(BoltzmannConductance(base_weights, beta), 0)
         ok = 0
         capped = 0
         for i in range(trials):
             try:
                 run = wilson_lerw(graph, conductances, start,
-                                  derive(seed, "sandwich", int(beta * 1000), i),
+                                  derive(seed, "sandwich", key, i),
                                   step_cap=step_cap)
             except StepCapReachedError:
                 capped += 1
@@ -541,7 +441,7 @@ def lcrw_equals_cleb_check(graph: DirectedMultigraph, start: VertexId, trials: i
         counts_l[key] = counts_l.get(key, 0) + 1
         assign = WeightAssignment(Exponential(1.0), derive(seed, "tv-c", i))
         rec = cleb_walk(graph, assign, start, step_cap=step_cap)
-        key = tuple(s.edge for s in rec.steps)
+        key = tuple(rec.exposed)
         counts_c[key] = counts_c.get(key, 0) + 1
     support = set(counts_l) | set(counts_c)
     tv = 0.5 * sum(abs(counts_l.get(k, 0) - counts_c.get(k, 0)) / trials for k in support)
@@ -666,14 +566,13 @@ def invasion_equivalence_check(graph: DirectedMultigraph, reversal: Sequence[Edg
     prefix sets against the invasion sequence; also checks the completed
     invasion tree against the independent minimum spanning tree.
     """
-    from .algorithms import HIT_BOUNDARY as WALK_HIT
     from .algorithms import cleb_walk
     from .weights import Fixed
 
     seq = invasion_percolation(graph, reversal, weights, start)
     assign = WeightAssignment(Fixed(dict(weights)), 0)
     record = cleb_walk(graph, assign, start)
-    if record.terminal != WALK_HIT:
+    if record.terminal != HIT_BOUNDARY:
         raise StepCapReachedError("walk hit the step cap")
     exposed: set[EdgeId] = set()
     fresh_unoriented: list[EdgeId] = []

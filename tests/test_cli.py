@@ -205,3 +205,36 @@ def test_bad_exhaustion_config_is_config_error(tmp_path, capsys, command, body):
     cfg.write_text(body if isinstance(body, str) else json.dumps(body))
     assert run([command, "--config", str(cfg)]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcrw", "--graph", "fixture:symmetric_demo", "--start", "1"],
+    ["lcrw-grid", "--side", "9"],
+    ["cleb-walk", "--graph", "fixture:sandwich_bounce", "--start", "1"],
+    ["wired-limit", "--family", "tree:2", "--radii", "3", "--probes", "1"],
+])
+def test_format_is_rejected_where_it_is_not_honoured(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--format", "json"])
+    assert exc.value.code == 2
+
+
+_RUN_FLAGS = [["--family", "path"], ["--weights", "unif01"], ["--radii", "7,8"],
+              ["--probes", "2"], ["--seeds", "3"]]
+
+
+@pytest.mark.parametrize("command, flag",
+                         [("wired-limit", f) for f in _RUN_FLAGS]
+                         + [("connectivity", f) for f in _RUN_FLAGS + [["--pairs", "2"]]])
+def test_exhaustion_flags_with_config_are_config_errors(tmp_path, capsys, command, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "tree:2", "radii": [3, 4], "probes": [1, 2]}))
+    assert run([command, "--config", str(cfg)] + flag) == 2
+    assert "cannot be combined with --config" in capsys.readouterr().err
+
+
+def test_wilson_sandwich_rejects_betas_sharing_a_stream(capsys):
+    code = run(["wilson-sandwich", "--graph", "fixture:sandwich_bounce",
+                "--start", "1", "--betas", "0.0001,0.0002", "--trials", "5"])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err

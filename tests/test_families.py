@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cleb.algorithms import cleb_walk_algorithm
@@ -329,3 +331,16 @@ def test_component_stats_on_tree_sample():
     stats = component_end_stats(real.graph, arb)
     assert sum(c.size for c in stats) == len(arb.outgoing)
     assert all(c.unmerged_tips >= 1 for c in stats)
+
+
+@pytest.mark.parametrize("family, radius, expected", [
+    (RegularTree(2), 9, "1b53c3423452362e"),
+    (RegularTree(3), 5, "d1077b393ebe2867"),
+    (GaltonWatson.geometric(0.5, 7), 6, "d159904840d8cb97"),
+])
+def test_tree_builders_keep_vertex_order_and_canonical_ids(family, radius, expected):
+    real = family.realize(radius)
+    g = real.graph
+    h = hashlib.sha256(repr((g.vertices, list(g.edges()), real.canonical,
+                             sorted(real.probe_map.items()))).encode())
+    assert h.hexdigest()[:16] == expected

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cleb.errors import PreconditionViolatedError, TieDetectedError
+from cleb.errors import ConfigError, PreconditionViolatedError, TieDetectedError
 from cleb.graph import build_graph, future_edges
 from cleb.instances import random_symmetric_instance
 from cleb.oracle import brute_force_msa
@@ -117,8 +117,10 @@ def test_lcrw_escape_agrees_with_generic_walker():
     hits = 0
     n = 30_000
     for i in range(n):
-        trace, _ = lcrw_run(tree, 1, 10_000, derive(55, i), stop_at_start=True)
-        hits += trace.terminal == "hit_boundary"
+        trace, _ = lcrw_run(tree, 1, 10_000, derive(55, i))
+        # the walk returns to its start exactly when a loop folds the whole path
+        returned = any(s.event == "contract" and s.cut == 0 for s in trace.steps)
+        hits += trace.terminal == "hit_boundary" and not returned
     est_slow = hits / n
     assert abs(est_fast - est_slow) < 4 * (se + math.sqrt(est_slow * (1 - est_slow) / n))
 
@@ -288,3 +290,12 @@ def test_wilson_branch_tracks_minimum_at_large_beta():
     hits = sum(wilson_lerw(g, cond, 1, derive(31, i)).branch == fut
                for i in range(300))
     assert hits / 300 >= 0.95
+
+
+def test_sandwich_betas_sharing_a_stream_key_are_rejected():
+    g, _, _ = bidirected([0, 1, 2], [0], [(1, 2), (1, 0), (2, 0)])
+    weights = {e: 1.0 + e for e in range(g.n_edges)}
+    with pytest.raises(ConfigError):
+        wilson_sandwich_trial(g, weights, 1, [2.0, 2.0004], 3, 1)
+    results, _ = wilson_sandwich_trial(g, weights, 1, [2.0, 2.5], 3, 1)
+    assert [r.beta for r in results] == [2.0, 2.5]
