@@ -18,7 +18,6 @@ from .graph import (
     project_edge_set,
     uncontract,
     validate_arborescence,
-    wire_boundary,
 )
 from .oracle import brute_force_msa, enumerate_arborescences, msa_event_probability
 from .walks import invasion_percolation, lcrw_run, wilson_lerw
@@ -65,5 +64,4 @@ __all__ = [
     "uncontract",
     "validate_arborescence",
     "wilson_lerw",
-    "wire_boundary",
 ]

@@ -66,9 +66,6 @@ class ExposureLog:
     steps: list[ExposureStep] = field(default_factory=list)
     colors: dict[EdgeId, int] = field(default_factory=dict)
 
-    def exposed_edges(self) -> list[EdgeId]:
-        return [s.edge for s in self.steps]
-
     def records(self) -> list[ContractionRecord]:
         return [s.record for s in self.steps if s.record is not None]
 

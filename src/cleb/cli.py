@@ -249,12 +249,15 @@ _CONFIG_KEYS = frozenset({"family", "family_seed", "model", "radii", "probes",
                           "seeds", "seed", "pairs", "step_cap"})
 _REQUIRED_CONFIG_KEYS = ("family", "radii", "probes")
 # flags that only describe the run when no --config file does
-_FLAG_ONLY = ("family", "weights", "radii", "probes", "seeds", "pairs")
+_FLAG_ONLY = ("family", "weights", "radii", "probes", "seeds", "pairs", "seed", "step_cap")
+# what a run uses when neither a flag nor the config file sets it
+_RUN_DEFAULTS = {"seed": 0, "step_cap": 1_000_000}
 
 
 def _exhaustion_config(args) -> dict:
     if getattr(args, "config", None):
-        clash = [f"--{k}" for k in _FLAG_ONLY if getattr(args, k, None) is not None]
+        clash = [f"--{k.replace('_', '-')}" for k in _FLAG_ONLY
+                 if getattr(args, k, None) is not None]
         if clash:
             raise ConfigError(f"{', '.join(clash)} cannot be combined with --config")
         with open(args.config) as fh:
@@ -270,9 +273,7 @@ def _exhaustion_config(args) -> dict:
         missing = [k for k in _REQUIRED_CONFIG_KEYS if k not in cfg]
         if missing:
             raise ConfigError(f"{args.config}: missing keys {missing}")
-        cfg.setdefault("seed", getattr(args, "seed", 0))
-        cfg.setdefault("step_cap", args.step_cap)
-        return cfg
+        return {**_RUN_DEFAULTS, **cfg}
     if not args.family:
         raise ConfigError("pass --family or --config")
     if not args.radii:
@@ -282,9 +283,11 @@ def _exhaustion_config(args) -> dict:
     return {"family": args.family, "model": args.weights or "exp1",
             "radii": [int(r) for r in args.radii.split(",")],
             "probes": [int(p) for p in args.probes.split(",")],
-            "seeds": 1 if args.seeds is None else args.seeds, "seed": args.seed,
+            "seeds": 1 if args.seeds is None else args.seeds,
             "pairs": 10 if getattr(args, "pairs", None) is None else args.pairs,
-            "step_cap": args.step_cap}
+            "seed": _RUN_DEFAULTS["seed"] if args.seed is None else args.seed,
+            "step_cap": (_RUN_DEFAULTS["step_cap"] if args.step_cap is None
+                         else args.step_cap)}
 
 
 def _cmd_verify(args) -> int:
@@ -374,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes")
     p.add_argument("--seeds", type=int)
     p.add_argument("--config", help="JSON file with family/model/radii/probes/seeds")
-    p.set_defaults(fn=_cmd_wired_limit)
+    p.set_defaults(fn=_cmd_wired_limit, seed=None, step_cap=None)
 
     p = sub.add_parser("connectivity", help="connectivity monotonicity across radii")
     common(p)
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int)
     p.add_argument("--seeds", type=int)
     p.add_argument("--config")
-    p.set_defaults(fn=_cmd_connectivity)
+    p.set_defaults(fn=_cmd_connectivity, seed=None, step_cap=None)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")

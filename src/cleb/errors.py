@@ -41,10 +41,6 @@ class NotSpanningError(GraphError):
     pass
 
 
-class DisconnectedKeptSetError(GraphError):
-    pass
-
-
 class DisconnectedError(ClebError):
     """Some vertex has no path to the boundary."""
 

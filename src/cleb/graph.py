@@ -7,8 +7,8 @@ pass can pop records in strict stack order and recover every intermediate
 view exactly.
 
 Both directions cost only the region they touch.  Building a stack is
-O(1) apart from zeroing one dead-flag byte per edge: a supervertex copies
-its out-list from the base graph on its first union.
+O(1): a vertex reads the base graph's out-list until a contraction writes
+its supervertex a list of exactly the surviving edges.
 :func:`uncontract` pulls the arborescence back in place, so a full unwind
 is linear in the total size of the contracted cycles.
 """
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
-    DisconnectedKeptSetError,
     DuplicateEdgeIdError,
     EmptyBoundaryError,
     NotACycleError,
@@ -114,7 +113,8 @@ class ContractionRecord:
 
     ``members`` are the resolved tails of ``cycle`` at record-creation
     time (aligned index-wise), ``removed`` is every edge that died because
-    both of its resolved endpoints were absorbed (cycle edges included).
+    both of its resolved endpoints were absorbed (cycle edges included),
+    led by those that left the surviving class root's own out-list.
     """
 
     cycle: tuple[EdgeId, ...]
@@ -158,15 +158,14 @@ class ContractionStack:
     ``potential(x)`` is the total amount ever subtracted from the outgoing
     edges of the supervertices that vertex ``x`` has belonged to.
 
-    Construction is lazy: a class root reads the base graph's out-list
-    until its first union copies it.  A walk therefore pays only for the
-    region it explores.
+    Each class root stores exactly the live out-edges of its supervertex.
+    Construction is lazy: a root reads the base graph's out-list until a
+    contraction writes it a list of its own.  A walk therefore pays only
+    for the region it explores.
     """
 
-    def __init__(self, graph: DirectedMultigraph, *, allow_compaction: bool = False):
+    def __init__(self, graph: DirectedMultigraph):
         self.base = graph
-        self._allow_compaction = allow_compaction
-        self._compacted = False
         self._parent: dict[int, int] = {}
         self._size: dict[int, int] = {}
         # class root -> public supervertex id (absent: root is its own public id)
@@ -175,10 +174,10 @@ class ContractionStack:
         # offset of a former root relative to its parent at union time
         self._racc: dict[int, object] = {}
         self._doff: dict[int, object] = {}
-        # class root -> own outgoing edge list (may contain dead edges, filtered
-        # on read); absent until the root's first union
+        # class root -> its live out-edges; absent until a contraction leaves
+        # the root in charge of a merged class.  Absorbed roots keep theirs
+        # for pop.
         self._out: dict[int, list[EdgeId]] = {}
-        self._dead = bytearray(graph.n_edges)
         # liveness: base vertices absorbed into some supervertex, plus the
         # live supervertex labels in creation order
         self._absorbed: set[VertexId] = set()
@@ -209,7 +208,8 @@ class ContractionStack:
         return self.resolve(self.base.heads[e])
 
     def is_dead(self, e: EdgeId) -> bool:
-        return bool(self._dead[e])
+        """Whether a contraction swallowed both endpoints of e."""
+        return self._find(self.base.tails[e]) == self._find(self.base.heads[e])
 
     def is_live_vertex(self, v: VertexId) -> bool:
         return v in self._live_labels or (v in self.base._vset and v not in self._absorbed)
@@ -222,24 +222,16 @@ class ContractionStack:
     def n_live_vertices(self) -> int:
         return self.base.n_vertices - len(self._absorbed) + len(self._live_labels)
 
-    def _out_list(self, root: int) -> list[EdgeId]:
-        out = self._out.get(root)
-        return self.base._out[root] if out is None else out
-
     def out_edges(self, v: VertexId) -> list[EdgeId]:
         """Live outgoing edges of a live supervertex.
 
-        With compaction enabled (walk-only stacks that never pop), lists
-        whose dead majority makes scans expensive are rebuilt in place.
+        This is the stored list itself, so callers must not mutate it.  A
+        supervertex lists its surviving class root's edges first, then
+        those of the other members in the order their classes merged.
         """
-        dead = self._dead
         root = self._find(v)
-        stored = self._out_list(root)
-        live = [e for e in stored if not dead[e]]
-        if self._allow_compaction and len(stored) > 16 and len(stored) > 2 * len(live):
-            self._out[root] = live
-            self._compacted = True
-        return live
+        out = self._out.get(root)
+        return self.base._out[root] if out is None else out
 
     # -- potentials (lazy weight subtraction) --------------------------
 
@@ -266,15 +258,16 @@ class ContractionStack:
         """Contract a directed cycle of live edges into a fresh supervertex.
 
         The cycle must chain head-to-tail under the current resolution and
-        must not touch the boundary.  Edges with both endpoints absorbed are
-        flagged dead; every surviving edge keeps its id.
+        must not touch the boundary.  Edges with both endpoints absorbed
+        die; every surviving edge keeps its id.  The members' out-lists are
+        scanned once and their survivors become the new supervertex's list.
         """
         cycle = tuple(cycle)
         if len(cycle) < 2:
             raise NotACycleError("a cycle needs at least two live edges")
         tails = []
         for e in cycle:
-            if self._dead[e]:
+            if self.is_dead(e):
                 raise NotACycleError(f"edge {e} is dead")
             tails.append(self.tail(e))
         member_set = set(tails)
@@ -288,24 +281,45 @@ class ContractionStack:
         if hit:
             raise TouchesBoundaryError(f"cycle passes through boundary {sorted(hit)}")
 
-        undo = {"unions": [], "dead": [], "label": None, "live": tuple(tails)}
-        removed = []
-        dead = self._dead
+        undo = {"unions": [], "label": None, "live": tuple(tails)}
         roots = [self._find(t) for t in tails]
-        for r in roots:
-            for e in self._out_list(r):
-                if not dead[e] and self.resolve(self.base.heads[e]) in member_set:
-                    dead[e] = 1
-                    removed.append(e)
-        undo["dead"] = removed
-
-        # union all member classes, then tag the merged class with a fresh id
+        lists = [self.out_edges(r) for r in roots]
+        # union all member classes; `order` lists the members in the order
+        # their out-lists concatenate, surviving root first
         root = roots[0]
-        for other in roots[1:]:
-            root = self._union(root, other, undo)
+        order = [0]
+        for i in range(1, len(roots)):
+            if self._union(root, roots[i], undo) == root:
+                order.append(i)
+            else:
+                root = roots[i]
+                order.insert(0, i)
+
+        find = self._find
+        heads = self.base.heads
+        live: list[EdgeId] = []
+        removed: list[EdgeId] = []
+        # positions of the dying edges in the root's own list, for pop
+        dropped: list[int] = []
+        for k, e in enumerate(lists[order[0]]):
+            if find(heads[e]) == root:
+                removed.append(e)
+                dropped.append(k)
+            else:
+                live.append(e)
+        undo["out"] = (len(live), dropped)
+        for i in order[1:]:
+            for e in lists[i]:
+                if find(heads[e]) == root:
+                    removed.append(e)
+                else:
+                    live.append(e)
+        self._out[root] = live
+
+        # tag the merged class with a fresh id; the id joins the class so it
+        # resolves like any member
         label = self._next_label
         self._next_label += 1
-        # the fresh public id joins the class so it resolves like any member
         self._parent[label] = root
         undo["label_node"] = label
         undo["label"] = (root, self._label.get(root))
@@ -327,30 +341,25 @@ class ContractionStack:
     def _union(self, ra: int, rb: int, undo: dict) -> int:
         if self._size.get(ra, 1) < self._size.get(rb, 1):
             ra, rb = rb, ra
-        out_a = self._out.get(ra)
-        if out_a is None:
-            out_a = self._out[ra] = list(self.base._out[ra])
-        undo["unions"].append((rb, ra, len(out_a), self._size.get(ra, 1),
-                               self._label.pop(rb, None)))
+        undo["unions"].append((rb, ra, self._size.get(ra, 1), self._label.pop(rb, None)))
         self._parent[rb] = ra
         self._size[ra] = self._size.get(ra, 1) + self._size.get(rb, 1)
         # keep members' accumulated potential unchanged across the merge
         self._doff[rb] = self._racc.get(rb, 0) - self._racc.get(ra, 0)
-        out_a.extend(self._out_list(rb))
         return ra
 
     def pop(self) -> ContractionRecord:
         """Undo the most recent contraction, restoring the previous view.
 
-        Structure (membership, liveness, dead flags) is restored exactly;
-        potentials revert to their values at contraction time for the
-        separated classes.  The backward pass never consults weights, so
-        interleaving pops with further subtraction is unsupported.
+        Structure (membership, liveness, out-lists) is restored exactly:
+        the surviving root's list is cut back to its own survivors and its
+        dead edges go back to their places.  Potentials revert to their
+        values at contraction time for the separated classes.  The backward
+        pass never consults weights, so interleaving pops with further
+        subtraction is unsupported.
         """
         if not self.records:
             raise RecordNotTopError("no contraction to undo")
-        if self._compacted:
-            raise RecordNotTopError("stack was compacted; it no longer supports undo")
         record = self.records.pop()
         undo = self._undo.pop()
         root, old_label = undo["label"]
@@ -359,15 +368,17 @@ class ContractionStack:
         else:
             self._label[root] = old_label
         del self._parent[undo["label_node"]]
-        for rb, ra, out_len, old_size, old_label_b in reversed(undo["unions"]):
+        for rb, ra, old_size, old_label_b in reversed(undo["unions"]):
             del self._parent[rb]
             self._size[ra] = old_size
             self._doff.pop(rb, None)
-            del self._out[ra][out_len:]
             if old_label_b is not None:
                 self._label[rb] = old_label_b
-        for e in undo["dead"]:
-            self._dead[e] = 0
+        n_kept, dropped = undo["out"]
+        out = self._out[root]
+        del out[n_kept:]
+        for k, e in zip(dropped, record.removed):
+            out.insert(k, e)
         del self._live_labels[record.supervertex]
         for t in undo["live"]:
             if t in self._absorbed:
@@ -506,56 +517,6 @@ def meet_vertex(graph: DirectedMultigraph, arb: Arborescence,
         if x not in arb.outgoing:
             return None
         x = graph.heads[arb.outgoing[x]]
-
-
-def wire_boundary(graph: DirectedMultigraph, kept: Iterable[VertexId]
-                  ) -> tuple[DirectedMultigraph, list[EdgeId]]:
-    """Identify everything outside `kept` into a single boundary vertex.
-
-    Returns the wired graph plus a per-edge list mapping its edge ids back
-    to the source graph's ids.  Edges with both endpoints outside vanish
-    (they would be boundary self-loops); parallel edges are preserved.
-    Keeping every vertex returns the graph unchanged.
-    """
-    kept = set(kept)
-    if not kept:
-        raise DisconnectedKeptSetError("kept set is empty")
-    unknown = kept - graph._vset
-    if unknown:
-        raise UnknownVertexError(f"kept vertices not in graph: {sorted(unknown)[:5]}")
-    if kept == graph._vset:
-        return graph, list(range(graph.n_edges))
-    _check_kept_connected(graph, kept)
-    sentinel = graph.id_bound
-    vertices = [v for v in graph.vertices if v in kept] + [sentinel]
-    edges = []
-    origin = []
-    for e, t, h in graph.edges():
-        t_in, h_in = t in kept, h in kept
-        if not t_in and not h_in:
-            continue
-        edges.append((t if t_in else sentinel, h if h_in else sentinel))
-        origin.append(e)
-    boundary = (graph.boundary & kept) | {sentinel}
-    return DirectedMultigraph(vertices, boundary, edges), origin
-
-
-def _check_kept_connected(graph: DirectedMultigraph, kept: set[VertexId]) -> None:
-    neighbours: dict[VertexId, set[VertexId]] = {v: set() for v in kept}
-    for _, t, h in graph.edges():
-        if t in kept and h in kept:
-            neighbours[t].add(h)
-            neighbours[h].add(t)
-    seen = set()
-    stack = [next(iter(kept))]
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        stack.extend(neighbours[x] - seen)
-    if seen != kept:
-        raise DisconnectedKeptSetError("kept set does not induce a connected subgraph")
 
 
 # -- JSON instance files -----------------------------------------------

@@ -80,12 +80,3 @@ def u01_from_bits(h: np.ndarray) -> np.ndarray:
     x = h.astype(np.float64)
     x /= 2.0**64
     return np.minimum(x, _BELOW_ONE, out=x)
-
-
-def u01_array(seed: int, keys: np.ndarray) -> np.ndarray:
-    """Vectorized u01(seed, k) for an array of integer keys.
-
-    Matches the scalar path exactly provided every key fits in 64 bits;
-    larger keys must go through the scalar path.
-    """
-    return u01_from_bits(mix64_array(np.asarray(keys, dtype=np.uint64) ^ np.uint64(mix64(seed))))

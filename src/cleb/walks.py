@@ -50,7 +50,7 @@ def lcrw_run(graph: DirectedMultigraph, start: VertexId, step_cap: int,
     Returns the record plus the base-graph head of each step's edge, for
     lattice drawings.
     """
-    stack = ContractionStack(graph, allow_compaction=True)
+    stack = ContractionStack(graph)
     randrange = random.Random(derive(seed, "lcrw")).randrange
 
     def uniform_edge(v: VertexId) -> tuple[EdgeId, None]:

@@ -233,6 +233,30 @@ def test_exhaustion_flags_with_config_are_config_errors(tmp_path, capsys, comman
     assert "cannot be combined with --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, pairs", [("wired-limit", {}),
+                                            ("connectivity", {"pairs": 2})])
+def test_seed_and_step_cap_come_from_flags_or_config_not_both(tmp_path, capsys, command,
+                                                               pairs):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "tree:3", "radii": [2, 3], "probes": [1, 2, 3],
+                               **pairs}))
+    for flag in (["--seed", "0"], ["--step-cap", "5"]):
+        assert run([command, "--config", str(cfg)] + flag) == 2
+        assert "cannot be combined with --config" in capsys.readouterr().err
+    # with neither the flag nor the key, a run uses seed 0 and step cap 1,000,000
+    base = ["--family", "tree:3", "--radii", "2,3", "--probes", "1,2,3"]
+    base += [f"--{k}={v}" for k, v in pairs.items()]
+    by_flags = tmp_path / "flags.csv"
+    assert run([command, *base, "--seed", "0", "--step-cap", "1000000",
+                "--out", str(by_flags)]) == 0
+    by_config = tmp_path / "config.csv"
+    assert run([command, "--config", str(cfg), "--out", str(by_config)]) == 0
+    assert by_config.read_bytes() == by_flags.read_bytes()
+    unseeded = tmp_path / "unseeded.csv"
+    assert run([command, *base, "--out", str(unseeded)]) == 0
+    assert unseeded.read_bytes() == by_flags.read_bytes()
+
+
 def test_wilson_sandwich_rejects_betas_sharing_a_stream(capsys):
     code = run(["wilson-sandwich", "--graph", "fixture:sandwich_bounce",
                 "--start", "1", "--betas", "0.0001,0.0002", "--trials", "5"])

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleb.algorithms import cleb_walk
+from cleb.algorithms import _contracting_walk, cleb_walk
 from cleb.errors import (
-    DisconnectedKeptSetError,
     NotACycleError,
     NotSpanningError,
     RecordNotTopError,
@@ -23,9 +22,8 @@ from cleb.graph import (
     project_edge_set,
     uncontract,
     validate_arborescence,
-    wire_boundary,
 )
-from cleb.families import RegularTree, coupled_assignment
+from cleb.families import LatticeBox, RegularTree, coupled_assignment
 from cleb.util import derive
 from cleb.weights import Exponential
 
@@ -149,32 +147,6 @@ def test_stack_construction_is_lazy():
     assert stack.records
     contracted = sum(len(r.members) for r in stack.records)
     assert len(stack._out) <= contracted
-
-
-def test_wire_boundary_path_example():
-    # path 0-1-2-3 in both orientations, keep {1, 2}
-    edges = []
-    for a, b in ((0, 1), (1, 2), (2, 3)):
-        edges += [(a, b), (b, a)]
-    g = build_graph([0, 1, 2, 3], [0], edges)
-    wired, origin = wire_boundary(g, [1, 2])
-    assert wired.n_vertices == 3
-    assert wired.n_edges == 6
-    assert len(origin) == 6
-
-
-def test_wire_boundary_full_keep_is_identity():
-    g = triangle_with_exit()
-    wired, origin = wire_boundary(g, g.vertices)
-    assert wired is g
-    assert origin == list(range(g.n_edges))
-
-
-def test_wire_boundary_rejects_disconnected_kept_set():
-    edges = [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (2, 1)]
-    g = build_graph([0, 1, 2, 3], [0], edges)
-    with pytest.raises(DisconnectedKeptSetError):
-        wire_boundary(g, [0, 3])
 
 
 def test_validate_arborescence_catches_cycles_and_gaps():
@@ -321,3 +293,93 @@ def test_live_edges_never_resolve_to_self_loops(seed):
         for e in range(g.n_edges):
             if not stack.is_dead(e):
                 assert stack.tail(e) != stack.head(e)
+
+
+class _FilteredListsModel:
+    """Reference for stored out-lists: each supervertex keeps every edge its
+    members ever listed, concatenated in union-by-size order (the larger
+    class first, the earlier member on ties), and reads drop dead edges."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.owner = {v: v for v in graph.vertices}
+        self.size = {v: 1 for v in graph.vertices}
+        self.lists = {v: list(graph.out_edges(v)) for v in graph.vertices}
+
+    def contract(self, record):
+        first, *rest = record.members
+        merged, size = self.lists[first], self.size[first]
+        for m in rest:
+            if size < self.size[m]:
+                merged = self.lists[m] + merged
+            else:
+                merged = merged + self.lists[m]
+            size += self.size[m]
+        self.lists[record.supervertex] = merged
+        self.size[record.supervertex] = size
+        members = set(record.members)
+        for v, o in self.owner.items():
+            if o in members:
+                self.owner[v] = record.supervertex
+
+    def is_dead(self, e):
+        return self.owner[self.graph.tails[e]] == self.owner[self.graph.heads[e]]
+
+    def out_edges(self, v):
+        return [e for e in self.lists[v] if not self.is_dead(e)]
+
+
+def _view(stack):
+    """Everything a reader of the stack sees: out-lists and dead edges."""
+    outs = {v: list(stack.out_edges(v)) for v in stack.live_vertices()}
+    return outs, [stack.is_dead(e) for e in range(stack.base.n_edges)]
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=80, deadline=None)
+def test_stored_out_lists_are_the_live_edges_and_pop_restores_them(seed):
+    g = random_stack_and_cycles(seed, n=10, extra=25)
+    stack = ContractionStack(g)
+    model = _FilteredListsModel(g)
+    views = [_view(stack)]
+    for _ in range(6):
+        cycle = find_directed_cycle(stack)
+        if cycle is None:
+            break
+        model.contract(stack.contract_cycle(cycle))
+        views.append(_view(stack))
+        for v in stack.live_vertices():
+            leaving = {e for e in range(g.n_edges)
+                       if stack.tail(e) == v and stack.head(e) != v}
+            assert stack.out_edges(v) == model.out_edges(v)
+            assert set(stack.out_edges(v)) == leaving
+        assert all(stack.is_dead(e) == model.is_dead(e) for e in range(g.n_edges))
+    views.pop()
+    while stack.records:
+        stack.pop()
+        assert _view(stack) == views.pop()
+
+
+def test_uniform_walk_stack_pops_back_to_every_view():
+    family = LatticeBox(2)
+    real = family.realize(10)
+    g = real.graph
+    stack = ContractionStack(g)
+    randrange = random.Random(0).randrange
+    views = []
+
+    def uniform_edge(v):
+        out = stack.out_edges(v)
+        return out[randrange(len(out))], None
+
+    def contract(cycle):
+        views.append(_view(stack))
+        return stack.contract_cycle(cycle)
+
+    absorbing = {stack.resolve(b) for b in g.boundary}
+    _contracting_walk(stack, family.origin(real), 10**6, absorbing, uniform_edge, contract)
+    assert len(stack.records) > 20
+    while stack.records:
+        stack.pop()
+        assert _view(stack) == views.pop()
+    assert all(stack.out_edges(v) == g.out_edges(v) for v in g.vertices)

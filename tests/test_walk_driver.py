@@ -3,7 +3,9 @@
 The digests were recorded before the loop-contracting random walk and the
 contracting walk shared one loop; they hold the exact per-step outputs of
 both walks on fixed seeds, so any change in draw order, path bookkeeping
-or step emission shows here.
+or step emission shows here.  The r=40 lattice digest was recorded while
+the walk's stack still compacted its out-lists on read, so it also pins
+the order of the stored lists.
 """
 
 import hashlib
@@ -37,6 +39,7 @@ def _lcrw_rows(graph, start, seeds):
 @pytest.mark.parametrize("radius, seeds, expected", [
     (10, range(40), "5053e713e0f0e85b"),
     (20, range(20), "83063023e361c97e"),
+    (40, range(40), "422988a4a36ab982"),
 ])
 def test_lcrw_lattice_digest(radius, seeds, expected):
     family = LatticeBox(2)
