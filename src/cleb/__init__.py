@@ -15,7 +15,6 @@ from .graph import (
     ContractionStack,
     DirectedMultigraph,
     build_graph,
-    project_edge_set,
     uncontract,
     validate_arborescence,
 )
@@ -27,7 +26,6 @@ from .weights import (
     Fixed,
     Uniform01,
     WeightAssignment,
-    genericity_guard,
     min_out_subtract,
     sample_weights,
 )
@@ -50,14 +48,12 @@ __all__ = [
     "colored_exposure_set",
     "connectivity_profile",
     "enumerate_arborescences",
-    "genericity_guard",
     "invasion_percolation",
     "lcrw_run",
     "min_out_subtract",
     "msa_event_probability",
     "order_chooser",
     "original_cleb",
-    "project_edge_set",
     "recover_branch",
     "sample_weights",
     "sequential_cleb",

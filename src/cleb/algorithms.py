@@ -13,6 +13,8 @@ Three front-ends share one engine:
   as an argument and also drives the uniform loop-contracting walk of
   :mod:`cleb.walks`.
 
+The three whole-graph solves sample every base weight in one vectorized
+pass on entry; a lone :func:`cleb_walk` samples only the edges it scans.
 All variants end with the same backward pass: popping contraction records
 in reverse and pulling the arborescence through each one.  Exposed edges
 carry colors (contraction depth levels); for generic weights the colored
@@ -166,6 +168,7 @@ def original_cleb(graph: DirectedMultigraph, assign: WeightAssignment
     log.  Raises DisconnectedError when some vertex cannot reach the
     boundary, TieDetectedError on a genericity failure.
     """
+    assign.sample_all(graph.n_edges)
     stack = ContractionStack(graph)
     exp = _Exposure(stack, assign)
     try:
@@ -260,6 +263,7 @@ def sequential_cleb(graph: DirectedMultigraph, assign: WeightAssignment,
     The resulting arborescence is the same for every valid chooser, and so
     is the colored exposed set.
     """
+    assign.sample_all(graph.n_edges)
     stack = ContractionStack(graph)
     exp = _Exposure(stack, assign)
     boundary = {stack.resolve(b) for b in graph.boundary}
@@ -509,6 +513,7 @@ def cleb_walk_algorithm(graph: DirectedMultigraph, assign: WeightAssignment,
     """
     if order is None:
         order = [v for v in graph.vertices if v not in graph.boundary]
+    assign.sample_all(graph.n_edges)
     stack = ContractionStack(graph)
     exp = _Exposure(stack, assign)
     visited: set[VertexId] = set(graph.boundary)

@@ -194,7 +194,7 @@ def _cmd_dist_compare(args) -> int:
 def _cmd_wired_limit(args) -> int:
     from .families import parse_family, wired_msa_sequence
 
-    cfg = _exhaustion_config(args)
+    cfg = _exhaustion_config(args, _CONFIG_TYPES.keys() - {"pairs"})
     family = parse_family(cfg["family"], seed=cfg.get("family_seed", 0))
     model = parse_model_spec(cfg.get("model", "exp1"))
     radii = cfg["radii"]
@@ -224,7 +224,7 @@ def _cmd_connectivity(args) -> int:
 
     from .families import connectivity_monotonicity_check, parse_family
 
-    cfg = _exhaustion_config(args)
+    cfg = _exhaustion_config(args, _CONFIG_TYPES.keys())
     family = parse_family(cfg["family"], seed=cfg.get("family_seed", 0))
     model = parse_model_spec(cfg.get("model", "exp1"))
     radii = cfg["radii"]
@@ -245,8 +245,10 @@ def _cmd_connectivity(args) -> int:
     return 0 if violations == 0 else 1
 
 
-_CONFIG_KEYS = frozenset({"family", "family_seed", "model", "radii", "probes",
-                          "seeds", "seed", "pairs", "step_cap"})
+# every config key with the type of its value (lists hold ints)
+_CONFIG_TYPES = {"family": str, "model": str, "radii": list, "probes": list, "family_seed": int,
+                 "seeds": int, "seed": int, "pairs": int, "step_cap": int}
+_TYPE_NAMES = {str: "a string", int: "an int", list: "a list of ints"}
 _REQUIRED_CONFIG_KEYS = ("family", "radii", "probes")
 # flags that only describe the run when no --config file does
 _FLAG_ONLY = ("family", "weights", "radii", "probes", "seeds", "pairs", "seed", "step_cap")
@@ -254,7 +256,7 @@ _FLAG_ONLY = ("family", "weights", "radii", "probes", "seeds", "pairs", "seed", 
 _RUN_DEFAULTS = {"seed": 0, "step_cap": 1_000_000}
 
 
-def _exhaustion_config(args) -> dict:
+def _exhaustion_config(args, keys) -> dict:
     if getattr(args, "config", None):
         clash = [f"--{k.replace('_', '-')}" for k in _FLAG_ONLY
                  if getattr(args, k, None) is not None]
@@ -267,9 +269,14 @@ def _exhaustion_config(args) -> dict:
                 raise ConfigError(f"{args.config}: {err}") from err
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: expected a JSON object")
-        unknown = sorted(set(cfg) - _CONFIG_KEYS)
+        unknown = sorted(set(cfg) - keys)
         if unknown:
             raise ConfigError(f"{args.config}: unknown keys {unknown}")
+        for key, value in cfg.items():  # by type(), so JSON true/false are not ints
+            want = _CONFIG_TYPES[key]
+            if type(value) is not want or want is list and any(type(x) is not int for x in value):
+                raise ConfigError(f"{args.config}: {key} must be {_TYPE_NAMES[want]}, "
+                                  f"not {value!r}")
         missing = [k for k in _REQUIRED_CONFIG_KEYS if k not in cfg]
         if missing:
             raise ConfigError(f"{args.config}: missing keys {missing}")

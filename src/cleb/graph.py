@@ -388,11 +388,6 @@ class ContractionStack:
         return record
 
 
-def project_edge_set(stack: ContractionStack, edges: Iterable[EdgeId]) -> frozenset[EdgeId]:
-    """Restrict an edge set to the edges still live under the stack."""
-    return frozenset(e for e in edges if not stack.is_dead(e))
-
-
 def uncontract(stack: ContractionStack, record: ContractionRecord,
                arb: Arborescence, *, validate: bool = True) -> Arborescence:
     """Undo the top contraction and pull a spanning arborescence back.

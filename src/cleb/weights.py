@@ -1,18 +1,21 @@
 """Weight models, lazy subtraction accounting, and genericity guarding.
 
-Effective weights are never stored: the effective weight of an edge is its
-base weight minus the potential accumulated along its tail's supervertex
-lineage (one subtraction per comparison, no error build-up).  Every
-comparison site funnels through the assignment's tie guard, which records
-any pair of values closer than the tolerance and aborts the run.
+Base weights are sampled per edge on first use, or for a whole graph in
+one bit-identical vectorized pass before a full solve.  Effective weights
+are never stored: an edge's is its base weight minus the potential
+accumulated along its tail's supervertex lineage (one subtraction per
+comparison, no error build-up).  Every comparison site funnels through the
+assignment's tie guard, which records any pair of values closer than the
+tolerance and aborts the run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from .errors import (
     GenericityViolationError,
@@ -20,7 +23,7 @@ from .errors import (
     TieDetectedError,
 )
 from .graph import ContractionStack, DirectedMultigraph, EdgeId, VertexId
-from .util import u01
+from .util import derive, mix64_array, u01, u01_from_bits
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -32,6 +35,10 @@ class WeightModel:
 
     def sample(self, seed: int, key: int):
         raise NotImplementedError
+
+    def sample_many(self, seed: int, keys: np.ndarray) -> list | None:
+        """``sample`` of every uint64 key in one pass, or None if per edge only."""
+        return None
 
     def is_exact(self) -> bool:
         return False
@@ -48,6 +55,11 @@ class Exponential(WeightModel):
     def sample(self, seed: int, key: int) -> float:
         return -math.log1p(-u01(seed, key)) / self.rate
 
+    def sample_many(self, seed: int, keys: np.ndarray) -> list[float]:
+        # numpy's log1p differs from math.log1p in the last bit on some inputs
+        log1p, rate = math.log1p, self.rate
+        return [-log1p(-u) / rate for u in Uniform01().sample_many(seed, keys)]
+
 
 class Uniform01(WeightModel):
     """i.i.d. Uniform(0, 1) weights, deterministic per (seed, key)."""
@@ -56,6 +68,10 @@ class Uniform01(WeightModel):
 
     def sample(self, seed: int, key: int) -> float:
         return u01(seed, key)
+
+    def sample_many(self, seed: int, keys: np.ndarray) -> list[float]:
+        """u01(seed, key) per uint64 key, as mix64(derive(seed) ^ key)."""
+        return u01_from_bits(mix64_array(keys ^ np.uint64(derive(seed)))).tolist()
 
 
 class Fixed(WeightModel):
@@ -125,26 +141,13 @@ def _load_weight_file(path: str) -> dict[EdgeId, float]:
     raise GenericityViolationError(f"unrecognized weight file {path}")
 
 
-@dataclass
-class GuardReport:
-    """Result of the genericity guard: collisions seen at comparison sites."""
-
-    tolerance: float
-    collisions: list[tuple[object, object, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.collisions
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 class WeightAssignment:
     """Per-edge base weights bound to a keying scheme and a tie guard.
 
     ``key_of`` maps an EdgeId to the integer actually hashed, which is how
     coupled families keep one weight per canonical edge across radii.
+    The cache starts as a dict filled lazily by ``base``;
+    :meth:`sample_all` replaces it with a dense list indexed by EdgeId.
     """
 
     def __init__(self, model: WeightModel, seed: int,
@@ -156,7 +159,7 @@ class WeightAssignment:
         self.tolerance = tolerance
         self.exact = model.is_exact()
         self.collisions: list[tuple[object, object, str]] = []
-        self._cache: dict[EdgeId, object] = {}
+        self._cache: dict[EdgeId, object] | list = {}
 
     def base(self, e: EdgeId):
         try:
@@ -166,6 +169,16 @@ class WeightAssignment:
             value = self.model.sample(self.seed, key)
             self._cache[e] = value
             return value
+
+    def sample_all(self, n_edges: int) -> None:
+        """Cache EdgeIds 0..n_edges-1 as a dense list, in one vectorized pass;
+        fixed and conductance models and keys outside [0, 2**64) stay lazy."""
+        keys = range(n_edges) if self.key_of is None else list(map(self.key_of, range(n_edges)))
+        if keys and (min(keys) < 0 or max(keys) >> 64):
+            return
+        values = self.model.sample_many(self.seed, np.array(keys, dtype=np.uint64))
+        if values is not None:
+            self._cache = values
 
     def effective(self, stack: ContractionStack, e: EdgeId):
         return self.base(e) - stack.potential(stack.base.tails[e])
@@ -241,12 +254,6 @@ def min_out_subtract(assign: WeightAssignment, stack: ContractionStack,
     if best_w != 0:
         stack.add_potential(v, best_w)
     return best_e, best_w
-
-
-def genericity_guard(assign: WeightAssignment, tolerance: float | None = None) -> GuardReport:
-    """Report every near-tie the assignment's comparison sites recorded."""
-    return GuardReport(tolerance if tolerance is not None else assign.tolerance,
-                       list(assign.collisions))
 
 
 def rational_jitter(rng, scale: int = 1 << 20) -> Fraction:

@@ -207,6 +207,32 @@ def test_bad_exhaustion_config_is_config_error(tmp_path, capsys, command, body):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_wired_limit_config_rejects_pairs(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "tree:2", "radii": [3, 4], "probes": [1],
+                               "pairs": 7}))
+    assert run(["wired-limit", "--config", str(cfg)]) == 2
+    assert "unknown keys ['pairs']" in capsys.readouterr().err
+
+
+_GOOD_CONFIG = {"family": "tree:3", "radii": [2, 3], "probes": [1, 2, 3]}
+_BAD_VALUES = [{"radii": "8"}, {"radii": [8.5]}, {"radii": [True]}, {"probes": 1},
+               {"probes": ["1"]}, {"seeds": "2"}, {"seeds": True}, {"seed": 1.0},
+               {"family_seed": None}, {"step_cap": "5"}, {"family": 2}, {"model": ["exp1"]}]
+
+
+@pytest.mark.parametrize("command, bad",
+                         [(c, b) for c in ("wired-limit", "connectivity") for b in _BAD_VALUES]
+                         + [("connectivity", {"pairs": "2"}), ("connectivity", {"pairs": False})],
+                         ids=str)
+def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, command, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_GOOD_CONFIG, **bad}))
+    assert run([command, "--config", str(cfg)]) == 2
+    key = next(iter(bad))
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["lcrw", "--graph", "fixture:symmetric_demo", "--start", "1"],
     ["lcrw-grid", "--side", "9"],

@@ -19,7 +19,6 @@ from cleb.graph import (
     build_graph,
     load_graph_json,
     dump_graph_json,
-    project_edge_set,
     uncontract,
     validate_arborescence,
 )
@@ -106,16 +105,6 @@ def test_uncontract_requires_top_record_and_spanning_arb():
     stack2 = ContractionStack(triangle_with_exit())
     with pytest.raises(RecordNotTopError):
         uncontract(stack2, record, Arborescence({}))
-
-
-def test_project_edge_set():
-    g = triangle_with_exit()
-    stack = ContractionStack(g)
-    everything = frozenset(range(4))
-    assert project_edge_set(stack, everything) == everything
-    stack.contract_cycle([0, 1, 2])
-    assert project_edge_set(stack, {0, 1, 2}) == frozenset()
-    assert project_edge_set(stack, {0, 3}) == frozenset({3})
 
 
 def test_vertex_count_drops_by_cycle_length_minus_one():
@@ -264,20 +253,6 @@ def _has_cycle(stack, outgoing):
             seen.add(v)
             v = stack.head(outgoing[v])
     return False
-
-
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=30))
-@settings(max_examples=60, deadline=None)
-def test_project_monotone(seed, k):
-    g = random_stack_and_cycles(seed)
-    stack = ContractionStack(g)
-    cycle = find_directed_cycle(stack)
-    if cycle is not None:
-        stack.contract_cycle(cycle)
-    rng = random.Random(seed ^ k)
-    small = frozenset(e for e in range(g.n_edges) if rng.random() < 0.4)
-    big = small | frozenset(e for e in range(g.n_edges) if rng.random() < 0.4)
-    assert project_edge_set(stack, small) <= project_edge_set(stack, big)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from cleb.errors import GenericityViolationError, NoOutgoingEdgeError, TieDetectedError
+from cleb.families import RegularTree, coupled_assignment, parse_family, wired_msa_sequence
 from cleb.graph import ContractionStack, build_graph
 from cleb.instances import random_instance
 from cleb.oracle import brute_force_msa
@@ -13,7 +15,6 @@ from cleb.weights import (
     Fixed,
     Uniform01,
     WeightAssignment,
-    genericity_guard,
     min_out_subtract,
     parse_model_spec,
     sample_weights,
@@ -106,8 +107,7 @@ def test_tie_at_the_minimum_detected_and_recorded():
     assign = WeightAssignment(Fixed({0: 1.0, 1: 1.0 + 1e-15, 2: 3.0}), 0)
     with pytest.raises(TieDetectedError):
         min_out_subtract(assign, ContractionStack(g), 1)
-    report = genericity_guard(assign)
-    assert not report.ok and len(report.collisions) == 1
+    assert len(assign.collisions) == 1
 
 
 def test_integer_relation_surfaces_as_tie():
@@ -122,7 +122,7 @@ def test_integer_relation_surfaces_as_tie():
     # out of the merged vertex: 4 - 2 = 2 and 3 - 1 = 2 collide exactly
     with pytest.raises(TieDetectedError):
         min_out_subtract(assign, stack, record.supervertex)
-    assert not genericity_guard(assign).ok
+    assert assign.collisions
 
 
 def test_random_runs_stay_generic():
@@ -132,7 +132,7 @@ def test_random_runs_stay_generic():
         g, _ = random_instance(derive(404, i))
         assign = sample_weights(Exponential(1.0), g, derive(405, i))
         original_cleb(g, assign)
-        assert genericity_guard(assign).ok
+        assert not assign.collisions
 
 
 def test_msa_invariant_under_constant_shift_at_one_vertex():
@@ -144,6 +144,75 @@ def test_msa_invariant_under_constant_shift_at_one_vertex():
                           for e in range(g.n_edges)}
         shifted = WeightAssignment(Fixed(shifted_values), 0)
         assert brute_force_msa(g, shifted).edge_set() == base
+
+
+def _bits(assign, m):
+    return [assign.base(e).hex() for e in range(m)]
+
+
+def _count_scalar_samples(monkeypatch) -> list:
+    calls = []
+    scalar = Exponential.sample
+    monkeypatch.setattr(Exponential, "sample",
+                        lambda self, seed, key: calls.append(key) or scalar(self, seed, key))
+    return calls
+
+
+def _refuse_scalar_sampling(monkeypatch):
+    def refuse(self, seed, key):
+        raise AssertionError("scalar sample on the batched path")
+
+    for model in (Exponential, Uniform01):
+        monkeypatch.setattr(model, "sample", refuse)
+
+
+@pytest.mark.parametrize("model", [Exponential(1.0), Uniform01()], ids=["exp1", "unif01"])
+def test_batch_sampling_is_bitwise_the_per_edge_sampling(model, monkeypatch):
+    cases = []
+    for spec, radius in (("lattice:2", 10), ("tree:2", 8), ("path", 50)):
+        real = parse_family(spec).realize(radius)
+        cases.append((partial(coupled_assignment, model, derive(61, spec), real),
+                      real.graph.n_edges))
+    for i in range(20):
+        g, _ = random_instance(derive(62, i))
+        cases.append((partial(sample_weights, model, g, derive(63, i)), g.n_edges))
+    lazy = [_bits(make(), m) for make, m in cases]
+    _refuse_scalar_sampling(monkeypatch)
+    for (make, m), expected in zip(cases, lazy):
+        batch = make()
+        batch.sample_all(m)
+        assert _bits(batch, m) == expected
+
+
+def test_keys_of_64_bits_or_more_stay_on_the_scalar_path(monkeypatch):
+    real = parse_family("lattice:4").realize(2)
+    m = real.graph.n_edges
+    assert max(real.canonical) >= 1 << 64
+    expected = _bits(coupled_assignment(Exponential(1.0), 7, real), m)
+    calls = _count_scalar_samples(monkeypatch)
+    assign = coupled_assignment(Exponential(1.0), 7, real)
+    assign.sample_all(m)
+    assert _bits(assign, m) == expected
+    assert len(calls) == m
+
+
+def test_full_solves_sample_every_weight_in_one_batch(monkeypatch):
+    from cleb.algorithms import cleb_walk_algorithm, order_chooser, original_cleb, sequential_cleb
+
+    real = parse_family("lattice:2").realize(8)
+    g = real.graph
+    _refuse_scalar_sampling(monkeypatch)
+    order = [v for v in g.vertices if v not in g.boundary]
+    arbs = [solve(g, coupled_assignment(Exponential(1.0), 808, real))[0].edge_set()
+            for solve in (original_cleb, cleb_walk_algorithm,
+                          lambda g, a: sequential_cleb(g, a, order_chooser(order[::-1])))]
+    assert arbs[0] == arbs[1] == arbs[2]
+
+
+def test_probe_walks_sample_lazily(monkeypatch):
+    calls = _count_scalar_samples(monkeypatch)
+    wired_msa_sequence(RegularTree(2), Exponential(1.0), [12], [1], 909)
+    assert 0 < len(calls) < RegularTree(2).realize(12).graph.n_edges
 
 
 def test_parse_model_specs(tmp_path):
