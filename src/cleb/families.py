@@ -65,37 +65,49 @@ class PathSegment(GraphFamily):
         return Realization(graph, canon, probe)
 
 
-def _tree_ball(children: Callable[[VertexId], list[VertexId]], radius: int) -> Realization:
+def _interleave(even: Sequence, odd) -> list:
+    """[even[0], odd[0], even[1], odd[1], ...]."""
+    block = [0] * (2 * len(even))
+    block[::2], block[1::2] = even, odd
+    return block
+
+
+def _tree_ball(expand: Callable[[Sequence[VertexId]], tuple[Sequence, Sequence]],
+               radius: int) -> Realization:
     """Rooted tree (root 1) wired at depth `radius` into boundary vertex 0.
 
-    Levels are built breadth first in `children` order; the edges to a
-    child are canonically 2*child (downward) and 2*child + 1 (upward), so
-    vertex ids double as canonical vertex ids.  The ball is refused as
-    soon as a level pushes it past 2,000,000 vertices.
+    ``expand(level)`` returns the next level breadth first as aligned
+    ``parents``/``children`` sequences, written as edges by slice assignment:
+    parent -> c and c -> parent, canonically 2c and 2c + 1, so vertex ids
+    double as canonical vertex ids; on the last level c is wired into 0.
+    The ball is refused once a level pushes it past 2,000,000 vertices.
     """
-    vertices = [0, 1]
-    edges: list[tuple[int, int]] = []
-    canon: list[int] = []
-    level = [1]
+    vertices, tails, heads, canon = [0, 1], [], [], []
+    level: Sequence[VertexId] = [1]
     for depth in range(radius):
-        wired = depth == radius - 1
-        nxt = []
-        for parent in level:
-            for child in children(parent):
-                head = 0 if wired else child
-                edges.append((parent, head))
-                canon.append(2 * child)
-                edges.append((head, parent))
-                canon.append(2 * child + 1)
-                if not wired:
-                    vertices.append(child)
-                    nxt.append(child)
+        parents, children = expand(level)
+        lower = [0] * len(children) if depth == radius - 1 else children
+        tails += _interleave(parents, lower)
+        heads += _interleave(lower, parents)
+        down = [2 * c for c in children]
+        canon += _interleave(down, [d + 1 for d in down])
+        if lower is children:
+            vertices += children
         if len(vertices) > 2_000_000:
             raise TooLargeError("branching ball too large")
-        level = nxt
-    graph = build_graph(vertices, [0], edges)
-    probe = {v: v for v in vertices if v != 0}
-    return Realization(graph, canon, probe)
+        level = children
+    graph = DirectedMultigraph.from_arcs(vertices, [0], tails, heads)
+    return Realization(graph, canon, dict(zip(vertices[1:], vertices[1:])))
+
+
+def _numbered_level(level: list[VertexId], arity: int) -> tuple[list[VertexId], list[VertexId]]:
+    """Next level of a tree numbered breadth first: each vertex of the
+    contiguous run `level` gets `arity` children, numbered right after it.
+    Lists, not ranges, so the ball's lists share one int object per id."""
+    parents = [0] * (len(level) * arity)
+    for i in range(arity):
+        parents[i::arity] = level
+    return parents, list(range(level[-1] + 1, level[-1] + 1 + len(parents)))
 
 
 class RegularTree(GraphFamily):
@@ -117,12 +129,16 @@ class RegularTree(GraphFamily):
         b = self.arity
         return [b * v - (b - 2) + i for i in range(b)]
 
+    def expand(self, level: list[VertexId]) -> tuple[list[VertexId], list[VertexId]]:
+        """The children of a whole level; heap numbering is breadth first."""
+        return _numbered_level(level, self.arity)
+
     def realize(self, radius: int) -> Realization:
         if radius < 1:
             raise PreconditionViolatedError("radius must be at least 1")
         if self.arity ** radius > 2_000_000:
             raise TooLargeError("tree ball too large")
-        return _tree_ball(self.children, radius)
+        return _tree_ball(self.expand, radius)
 
 
 class LatticeBox(GraphFamily):
@@ -229,8 +245,13 @@ class GaltonWatson(GraphFamily):
         base = self.max_offspring + 1
         return [v * base + i for i in range(1, self.offspring(v) + 1)]
 
+    def expand(self, level: Sequence[VertexId]) -> tuple[list[VertexId], list[VertexId]]:
+        """The children of a whole level, one :meth:`children` call each."""
+        kids = [self.children(v) for v in level]
+        return [v for v, k in zip(level, kids) for _ in k], [c for k in kids for c in k]
+
     def realize(self, radius: int) -> Realization:
-        return _tree_ball(self.children, radius)
+        return _tree_ball(self.expand, radius)
 
 
 class BoundedSubdivision(GraphFamily):
@@ -265,28 +286,26 @@ class BoundedSubdivision(GraphFamily):
         canon: list[int] = []
         level = [1]
         for depth in range(radius):
-            nxt = []
-            for parent in level:
-                for child in self.base.children(parent):
-                    wired = depth == radius - 1
-                    length = 1 if wired else self.segment_length(child)
-                    chain = [parent]
-                    for j in range(1, length):
-                        chain.append(self._voff + child * m1 + j)
-                    chain.append(0 if wired else child)
-                    for s in range(length):
-                        a, b = chain[s], chain[s + 1]
-                        code = child * m1 + s
-                        edges.append((a, b))
-                        canon.append(2 * code)
-                        edges.append((b, a))
-                        canon.append(2 * code + 1)
-                        if s and chain[s] != 0:
-                            vertices.append(chain[s])
-                    if not wired:
-                        vertices.append(child)
-                        nxt.append(child)
-            level = nxt
+            parents, children = self.base.expand(level)
+            for parent, child in zip(parents, children):
+                wired = depth == radius - 1
+                length = 1 if wired else self.segment_length(child)
+                chain = [parent]
+                for j in range(1, length):
+                    chain.append(self._voff + child * m1 + j)
+                chain.append(0 if wired else child)
+                for s in range(length):
+                    a, b = chain[s], chain[s + 1]
+                    code = child * m1 + s
+                    edges.append((a, b))
+                    canon.append(2 * code)
+                    edges.append((b, a))
+                    canon.append(2 * code + 1)
+                    if s and chain[s] != 0:
+                        vertices.append(chain[s])
+                if not wired:
+                    vertices.append(child)
+            level = children
         graph = build_graph(vertices, [0], edges)
         probe = {v: v for v in vertices if v != 0}
         return Realization(graph, canon, probe)

@@ -16,6 +16,7 @@ is linear in the total size of the contracted cycles.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -46,24 +47,36 @@ class DirectedMultigraph:
 
     def __init__(self, vertices: Iterable[VertexId], boundary: Iterable[VertexId],
                  edges: Sequence[tuple[VertexId, VertexId]]):
+        self._set_arcs(vertices, boundary, [t for t, _ in edges], [h for _, h in edges])
+
+    @classmethod
+    def from_arcs(cls, vertices: Iterable[VertexId], boundary: Iterable[VertexId],
+                  tails: list[VertexId], heads: list[VertexId]) -> "DirectedMultigraph":
+        """The graph whose edge e is tails[e] -> heads[e] (it keeps both lists).
+        A per-edge scan runs only if C-level checks fail; the first bad edge decides."""
+        graph = cls.__new__(cls)
+        graph._set_arcs(vertices, boundary, tails, heads)
+        return graph
+
+    def _set_arcs(self, vertices, boundary, tails, heads) -> None:
         self.vertices: tuple[VertexId, ...] = tuple(vertices)
-        self._vset = frozenset(self.vertices)
-        if len(self._vset) != len(self.vertices):
+        vset = self._vset = frozenset(self.vertices)
+        if len(vset) != len(self.vertices):
             raise UnknownVertexError("duplicate vertex ids")
         self.id_bound: VertexId = (max(self.vertices) + 1) if self.vertices else 0
         self.boundary: frozenset[VertexId] = frozenset(boundary)
-        if not self.boundary <= self._vset:
+        if not self.boundary <= vset:
             raise UnknownVertexError("boundary vertex not in vertex set")
-        tails = []
-        heads = []
+        if len(tails) != len(heads):
+            raise ValueError("tails and heads differ in length")
+        if any(map(operator.eq, tails, heads)) or not vset.issuperset(tails + heads):
+            for eid, (t, h) in enumerate(zip(tails, heads)):
+                if t == h:
+                    raise SelfLoopError(f"edge {eid}: {t} -> {h}")
+                if t not in vset or h not in vset:
+                    raise UnknownVertexError(f"edge {eid}: {t} -> {h}")
         out: dict[VertexId, list[EdgeId]] = {v: [] for v in self.vertices}
-        for eid, (t, h) in enumerate(edges):
-            if t == h:
-                raise SelfLoopError(f"edge {eid}: {t} -> {h}")
-            if t not in self._vset or h not in self._vset:
-                raise UnknownVertexError(f"edge {eid}: {t} -> {h}")
-            tails.append(t)
-            heads.append(h)
+        for eid, t in enumerate(tails):
             out[t].append(eid)
         self.tails: list[VertexId] = tails
         self.heads: list[VertexId] = heads

@@ -74,6 +74,18 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def parts_to_uint64(parts) -> np.ndarray:
+    """:func:`_part_to_int` of each nonnegative integer, as a uint64 array:
+    keys of 64 bits or more fold their higher limbs in the same order."""
+    if not parts or max(parts) >> 64 == 0:
+        return np.array(parts, dtype=np.uint64)
+    rest = np.array(parts, dtype=object)
+    h = (rest & _MASK).astype(np.uint64)
+    while (wide := np.flatnonzero(rest := rest >> 64)).size:
+        h[wide] = mix64_array(h[wide] ^ mix64_array((rest[wide] & _MASK).astype(np.uint64)))
+    return h
+
+
 def u01_from_bits(h: np.ndarray) -> np.ndarray:
     """Map uint64 hashes to [0, 1) as :func:`u01` does, clamping the
     hashes that round up to 1.0."""

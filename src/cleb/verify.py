@@ -215,11 +215,7 @@ def _monotonicity_pools():
     from .families import PathSegment, RegularTree
 
     tree = RegularTree(3)
-    pool = [1]
-    level = [1]
-    for _ in range(2):
-        level = [c for v in level for c in tree.children(v)]
-        pool += level
+    pool = list(tree.realize(3).probe_map)  # depths 0-2, breadth first
     return [("tree:3", tree, [3, 4, 5, 6, 7], pool),
             ("path", PathSegment(), [10, 20, 40, 80, 160], list(range(-9, 10)))]
 

@@ -26,6 +26,7 @@ from .errors import (
     StepCapReachedError,
     TieDetectedError,
 )
+from .families import _numbered_level, _tree_ball
 from .graph import (
     ContractionStack,
     DirectedMultigraph,
@@ -76,32 +77,15 @@ def glued_tree(depth: int, arities: Sequence[int] | int) -> DirectedMultigraph:
     ``arities`` gives the branching per level (an int for uniform
     branching).  Vertices are numbered in BFS order from the root (id 1);
     the glued boundary vertex is 0.  Both orientations of every tree edge
-    are present, so the unoriented walk degree matches the tree.
+    are present, so the unoriented walk degree matches the tree.  Built by
+    the families' tree builder: a uniform arity b gives the wired tree:b ball.
     """
     if isinstance(arities, int):
         arities = [arities] * depth
     if len(arities) != depth:
         raise PreconditionViolatedError("need one arity per level")
-    vertices = [0, 1]
-    edges: list[tuple[int, int]] = []
-    level = [1]
-    next_id = 2
-    for d in range(depth):
-        new_level = []
-        for parent in level:
-            for _ in range(arities[d]):
-                if d == depth - 1:
-                    edges.append((parent, 0))
-                    edges.append((0, parent))
-                else:
-                    child = next_id
-                    next_id += 1
-                    vertices.append(child)
-                    new_level.append(child)
-                    edges.append((parent, child))
-                    edges.append((child, parent))
-        level = new_level
-    return build_graph(vertices, [0], edges)
+    per_level = iter(arities)
+    return _tree_ball(lambda level: _numbered_level(level, next(per_level)), depth).graph
 
 
 def srw_escape_exact(tree: DirectedMultigraph, v: VertexId) -> float:

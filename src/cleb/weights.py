@@ -23,7 +23,7 @@ from .errors import (
     TieDetectedError,
 )
 from .graph import ContractionStack, DirectedMultigraph, EdgeId, VertexId
-from .util import derive, mix64_array, u01, u01_from_bits
+from .util import derive, mix64_array, parts_to_uint64, u01, u01_from_bits
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -172,11 +172,12 @@ class WeightAssignment:
 
     def sample_all(self, n_edges: int) -> None:
         """Cache EdgeIds 0..n_edges-1 as a dense list, in one vectorized pass;
-        fixed and conductance models and keys outside [0, 2**64) stay lazy."""
+        keys of 64 bits or more fold as :func:`util.derive` folds them.
+        Fixed and conductance models and negative keys stay lazy."""
         keys = range(n_edges) if self.key_of is None else list(map(self.key_of, range(n_edges)))
-        if keys and (min(keys) < 0 or max(keys) >> 64):
+        if keys and min(keys) < 0:
             return
-        values = self.model.sample_many(self.seed, np.array(keys, dtype=np.uint64))
+        values = self.model.sample_many(self.seed, parts_to_uint64(keys))
         if values is not None:
             self._cache = values
 

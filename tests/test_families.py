@@ -18,7 +18,9 @@ from cleb.families import (
     wired_msa_sequence,
 )
 from cleb.graph import Arborescence, build_graph, validate_arborescence
+from cleb.instances import GLUED_TREE_SHAPES
 from cleb.util import derive
+from cleb.walks import glued_tree
 from cleb.weights import Exponential, Fixed
 
 
@@ -348,3 +350,53 @@ def test_tree_builders_keep_vertex_order_and_canonical_ids(family, radius, expec
     h = hashlib.sha256(repr((g.vertices, list(g.edges()), real.canonical,
                              sorted(real.probe_map.items()))).encode())
     assert h.hexdigest()[:16] == expected
+
+
+def _structure_digest(g, canonical=None, probe_map=None) -> str:
+    """sha256 prefix of a graph's vertices, boundary, arcs, out-lists and
+    id bound, plus a realization's canonical ids and probe map."""
+    parts = (g.vertices, sorted(g.boundary), g.tails, g.heads,
+             [g.out_edges(v) for v in g.vertices], g.id_bound, canonical,
+             None if probe_map is None else list(probe_map.items()))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("spec, radius, expected", [
+    ("tree:2", 1, "c54729f44dabc61e"),
+    ("tree:2", 2, "3eee4280e7e9aa87"),
+    ("tree:2", 12, "6ad7696a257119fc"),
+    ("tree:3", 6, "d6df5f8cdf5bf967"),
+    ("gw:0.5", 8, "77472fb0d9c67fc6"),
+    ("subdiv:2:3", 5, "1b3ce54fe4c892f2"),
+])
+def test_realized_structure_is_pinned(spec, radius, expected):
+    real = parse_family(spec, 7).realize(radius)
+    assert _structure_digest(real.graph, real.canonical, real.probe_map) == expected
+
+
+@pytest.mark.parametrize("depth, arities, expected", [
+    (len(arities), arities, digest) for (_, arities), digest in zip(GLUED_TREE_SHAPES, [
+        "9f920a2af1b34e25", "de27efda0592f439", "d790ba420ac0dc15", "5464fc37fe004810",
+        "90777bf4bc11a9ec", "77071f14cd67e0ac", "25aa30fbaf8a652b", "91ba352aa6e7cfc1",
+        "765be1581658ad55", "2fd6925880656bda"])
+] + [(3, 2, "90777bf4bc11a9ec"), (4, 3, "91ba352aa6e7cfc1")])
+def test_glued_tree_structure_is_pinned(depth, arities, expected):
+    assert _structure_digest(glued_tree(depth, arities)) == expected
+
+
+def test_regular_tree_builds_a_level_per_expansion(monkeypatch):
+    calls = {"expand": 0, "children": 0}
+    for name in calls:
+        method = getattr(RegularTree, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(RegularTree, name, counted)
+    RegularTree(2).realize(12)
+    assert calls == {"expand": 12, "children": 0}
+    monkeypatch.undo()
+    tree, level = RegularTree(3), range(5, 14)
+    parents, children = tree.expand(level)
+    assert list(zip(parents, children)) == [(v, c) for v in level for c in tree.children(v)]

@@ -16,6 +16,7 @@ from cleb.errors import (
 from cleb.graph import (
     Arborescence,
     ContractionStack,
+    DirectedMultigraph,
     build_graph,
     load_graph_json,
     dump_graph_json,
@@ -358,3 +359,21 @@ def test_uniform_walk_stack_pops_back_to_every_view():
         stack.pop()
         assert _view(stack) == views.pop()
     assert all(stack.out_edges(v) == g.out_edges(v) for v in g.vertices)
+
+
+@pytest.mark.parametrize("edges, error, message", [
+    ([(1, 0), (2, 2), (1, 9)], SelfLoopError, "edge 1: 2 -> 2"),
+    ([(1, 0), (9, 1), (2, 2)], UnknownVertexError, "edge 1: 9 -> 1"),
+    ([(1, 0), (1, 2), (2, 9), (0, 0)], UnknownVertexError, "edge 2: 2 -> 9"),
+])
+def test_first_bad_edge_decides_the_error(edges, error, message):
+    tails, heads = [t for t, _ in edges], [h for _, h in edges]
+    for build in (lambda: DirectedMultigraph([0, 1, 2], [0], edges),
+                  lambda: DirectedMultigraph.from_arcs([0, 1, 2], [0], tails, heads)):
+        with pytest.raises(error, match=f"^{message}$"):
+            build()
+
+
+def test_from_arcs_rejects_unaligned_arcs():
+    with pytest.raises(ValueError):
+        DirectedMultigraph.from_arcs([0, 1, 2], [0], [1, 2], [0])

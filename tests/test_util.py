@@ -44,3 +44,9 @@ def test_vectorized_u01_stays_below_one(monkeypatch):
                                                                    dtype=np.uint64))
     w = oracle._sample_weight_matrix(Exponential(), 3, np.arange(4, dtype=np.uint64), 5)
     assert w.shape == (4, 5) and np.isfinite(w).all()
+
+
+def test_vectorized_key_fold_is_the_scalar_fold():
+    parts = [0, 5, 2**64 - 1, 2**64, 2**64 + 5, 2**128, 2**128 + 2**64 + 9, 3 << 200]
+    assert util.parts_to_uint64(parts).tolist() == [util._part_to_int(p) for p in parts]
+    assert util.parts_to_uint64(parts[:3]).tolist() == parts[:3]

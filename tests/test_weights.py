@@ -184,16 +184,18 @@ def test_batch_sampling_is_bitwise_the_per_edge_sampling(model, monkeypatch):
         assert _bits(batch, m) == expected
 
 
-def test_keys_of_64_bits_or_more_stay_on_the_scalar_path(monkeypatch):
-    real = parse_family("lattice:4").realize(2)
-    m = real.graph.n_edges
-    assert max(real.canonical) >= 1 << 64
-    expected = _bits(coupled_assignment(Exponential(1.0), 7, real), m)
-    calls = _count_scalar_samples(monkeypatch)
-    assign = coupled_assignment(Exponential(1.0), 7, real)
-    assign.sample_all(m)
-    assert _bits(assign, m) == expected
-    assert len(calls) == m
+def test_keys_of_64_bits_or_more_fold_in_the_batch(monkeypatch):
+    cases = []
+    for spec, radius in (("lattice:3", 3), ("lattice:4", 2)):
+        real = parse_family(spec).realize(radius)
+        assert max(real.canonical) >= 1 << 64
+        m = real.graph.n_edges
+        cases.append((real, m, _bits(coupled_assignment(Exponential(1.0), 7, real), m)))
+    _refuse_scalar_sampling(monkeypatch)
+    for real, m, expected in cases:
+        assign = coupled_assignment(Exponential(1.0), 7, real)
+        assign.sample_all(m)
+        assert _bits(assign, m) == expected
 
 
 def test_full_solves_sample_every_weight_in_one_batch(monkeypatch):
