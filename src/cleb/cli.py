@@ -98,13 +98,17 @@ def _cmd_lcrw(args) -> int:
 def _cmd_lcrw_grid(args) -> int:
     from .families import LatticeBox, transience_trace
 
+    if args.d != 2:
+        raise ConfigError(f"lcrw-grid writes x,y coordinates, so --d must be 2, not {args.d}")
+    if args.side < 0:
+        raise ConfigError("--side must not be negative")
+    if not args.out:
+        raise ConfigError("lcrw-grid needs --out for the trace file")
     family = LatticeBox(args.d)
     radius = args.side // 2
     origin = family._vcode((0,) * args.d)
     trace, summary, positions = transience_trace(family, radius, origin,
                                                  args.step_cap, args.seed)
-    if not args.out:
-        raise ConfigError("lcrw-grid needs --out for the trace file")
     trace.write_csv(args.out, positions=positions)
     print(f"grid walk: {summary.terminal} after {summary.steps} steps, "
           f"max path {summary.max_path_len}, {summary.returns_to_empty} returns -> {args.out}")
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lcrw-grid", help="lattice walk trace with coordinates")
     common(p)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, default=2, help="lattice dimension; only 2 is supported")
     p.add_argument("--side", type=int, required=True)
     p.set_defaults(fn=_cmd_lcrw_grid)
 

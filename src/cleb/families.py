@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, PreconditionViolatedError, TooLargeError
 from .graph import Arborescence, DirectedMultigraph, EdgeId, VertexId, build_graph
 from .util import u01
@@ -26,7 +28,6 @@ class Realization:
     graph: DirectedMultigraph
     canonical: list[int]                   # EdgeId -> canonical id
     probe_map: dict[VertexId, VertexId]    # canonical vertex -> graph vertex
-    coords: list[tuple[int, ...]] | None = None  # lattice only
 
 
 class GraphFamily:
@@ -125,10 +126,6 @@ class RegularTree(GraphFamily):
             raise PreconditionViolatedError("arity must be at least 2")
         self.arity = arity
 
-    def children(self, v: VertexId) -> list[VertexId]:
-        b = self.arity
-        return [b * v - (b - 2) + i for i in range(b)]
-
     def expand(self, level: list[VertexId]) -> tuple[list[VertexId], list[VertexId]]:
         """The children of a whole level; heap numbering is breadth first."""
         return _numbered_level(level, self.arity)
@@ -159,46 +156,43 @@ class LatticeBox(GraphFamily):
         return code
 
     def realize(self, radius: int, *, want_canonical: bool = True) -> Realization:
+        """Vertices row-major (last axis fastest), boundary last.  Each vertex
+        sends its arcs along +e_0, -e_0, +e_1, ...; an arc that leaves the box
+        goes to the boundary and is followed by the boundary's arc back.  The
+        canonical id of an arc x -> x + s e_a is _vcode(x) * 2d + 2a + (s > 0),
+        and a back-arc takes the id of the arc from x + s e_a back to x."""
         d = self.dim
         side = 2 * radius + 1
         if side ** d > 4_000_000:
             raise TooLargeError("lattice box too large")
-        coords_list: list[tuple[int, ...]] = []
-        index: dict[tuple[int, ...], int] = {}
-
-        def walk(prefix: tuple[int, ...]) -> None:
-            if len(prefix) == d:
-                index[prefix] = len(coords_list)
-                coords_list.append(prefix)
-                return
-            for c in range(-radius, radius + 1):
-                walk(prefix + (c,))
-
-        walk(())
-        n = len(coords_list)
-        bnd = n
-        edges: list[tuple[int, int]] = []
-        canon: list[int] | None = [] if want_canonical else None
-        for i, coords in enumerate(coords_list):
-            for axis in range(d):
-                for sign, direction in ((1, 2 * axis + 1), (-1, 2 * axis)):
-                    nb = list(coords)
-                    nb[axis] += sign
-                    nb_t = tuple(nb)
-                    inside = abs(nb[axis]) <= radius
-                    j = index[nb_t] if inside else bnd
-                    edges.append((i, j))
-                    if canon is not None:
-                        canon.append(self._vcode(coords) * 2 * d + direction)
-                    if not inside:
-                        edges.append((j, i))
-                        if canon is not None:
-                            rdir = 2 * axis + (0 if sign > 0 else 1)
-                            canon.append(self._vcode(nb_t) * 2 * d + rdir)
-        graph = DirectedMultigraph(list(range(n + 1)), [bnd], edges)
-        probe = {self._vcode(c): i for i, c in enumerate(coords_list)}
-        return Realization(graph, canon if canon is not None else [],
-                           probe, coords=coords_list)
+        n = side ** d
+        pos = np.indices((side,) * d).reshape(d, n).T
+        # leaves[i, k]: step k = 2a (+e_a) or 2a + 1 (-e_a) from vertex i leaves the box
+        leaves = np.stack([pos == side - 1, pos == 0], axis=2).reshape(n, 2 * d)
+        strides = side ** np.arange(d - 1, -1, -1)
+        owner, k, back = np.nonzero(np.stack([np.ones_like(leaves), leaves], axis=2))
+        nbr = np.where(leaves[owner, k], n, owner + np.outer(strides, [1, -1]).ravel()[k])
+        ids = list(range(n + 1))
+        shared = np.array(ids, dtype=object)    # one int object per vertex id
+        tails = shared[np.where(back, n, owner)].tolist()
+        heads = shared[np.where(back, owner, nbr)].tolist()
+        graph = DirectedMultigraph.from_arcs(ids, [n], tails, heads)
+        # _vcode of every vertex, summed axis by axis as exact ints
+        base, code = 2 * _LATTICE_B + 1, np.zeros(1, dtype=object)
+        for a in range(d):
+            unit = base ** (d - 1 - a)
+            axis = np.array([(c + _LATTICE_B) * unit for c in range(-radius, radius + 1)],
+                            dtype=object)
+            code = (code[:, None] + axis).ravel()
+        canon: list[int] = []
+        if want_canonical:
+            # step k's arc has direction k ^ 1; its back-arc starts at the
+            # neighbour, whose code differs by s * base^(d-1-a), in direction k
+            step = [(1 - 2 * (j & 1)) * base ** (d - 1 - j // 2) * 2 * d for j in range(2 * d)]
+            offset = np.array([[j ^ 1, step[j] + j] for j in range(2 * d)], dtype=object)
+            canon = ((code * (2 * d))[owner] + offset[k, back]).tolist()
+        probe = dict(zip(code.tolist(), ids))
+        return Realization(graph, canon, probe)
 
     def origin(self, realization: Realization) -> VertexId:
         return realization.probe_map[self._vcode((0,) * self.dim)]
@@ -366,12 +360,6 @@ class StabilizationReport:
     radii: list[int]
     probes: list[ProbeHistory] = field(default_factory=list)
 
-    def probe_for(self, vertex: VertexId) -> ProbeHistory:
-        for p in self.probes:
-            if p.probe == vertex:
-                return p
-        raise KeyError(vertex)
-
 
 def wired_msa_sequence(family: GraphFamily, model: WeightModel, radii: Sequence[int],
                        probes: Sequence[VertexId], master_seed: int,
@@ -473,20 +461,20 @@ def transience_trace(family: GraphFamily, radius: int, start: VertexId,
     """
     from .walks import lcrw_run
 
-    if isinstance(family, LatticeBox):
-        real = family.realize(radius, want_canonical=False)
-    else:
-        real = family.realize(radius)
+    lattice = isinstance(family, LatticeBox)
+    real = family.realize(radius, want_canonical=False) if lattice else family.realize(radius)
     vertex = real.probe_map[start]
     trace, heads = lcrw_run(real.graph, vertex, step_cap, seed)
     positions = None
-    if real.coords is not None:
-        positions = []
-        last = real.coords[vertex]
+    if lattice:
+        n, last, at = real.graph.n_vertices - 1, vertex, []
         for h in heads:
-            if h < len(real.coords):
-                last = real.coords[h]
-            positions.append(last)
+            if h < n:
+                last = h
+            at.append(last)
+        shape = (2 * radius + 1,) * family.dim
+        grid = np.array(np.unravel_index(np.array(at, dtype=np.int64), shape)).T - radius
+        positions = list(map(tuple, grid.tolist()))
     summary = TransienceSummary(steps=len(trace.steps),
                                 returns_to_empty=trace.returns_to_empty(),
                                 max_path_len=trace.max_path_len(),

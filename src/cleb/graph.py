@@ -232,9 +232,6 @@ class ContractionStack:
         absorbed = self._absorbed
         return [v for v in self.base.vertices if v not in absorbed] + list(self._live_labels)
 
-    def n_live_vertices(self) -> int:
-        return self.base.n_vertices - len(self._absorbed) + len(self._live_labels)
-
     def out_edges(self, v: VertexId) -> list[EdgeId]:
         """Live outgoing edges of a live supervertex.
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -261,15 +262,9 @@ def wilson_lerw(graph: DirectedMultigraph, conductances: WeightAssignment,
             entry = (weights, list(out))
             cumulative[x] = entry
         weights, out = entry
-        target = rand() * weights[-1]
-        lo, hi = 0, len(weights) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if weights[mid] > target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return out[lo]
+        # searching weights[:-1] leaves the last edge when rand() * total
+        # rounds up to the total
+        return out[bisect_right(weights, rand() * weights[-1], 0, len(out) - 1)]
 
     path: list[EdgeId] = []
     on_path: dict[VertexId, int] = {start: -1}

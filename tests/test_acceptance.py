@@ -131,7 +131,7 @@ def test_criterion_10_wired_limit_stabilization():
     for s in range(seeds):
         report = wired_msa_sequence(fam, Exponential(1.0), [8, 10, 12], [1],
                                     derive(MASTER, "wired", s))
-        hist = report.probe_for(1)
+        hist, = report.probes
         if len(set(hist.by_radius.values())) == 1:
             stable += 1
     ok = stable >= math.ceil(0.99 * seeds)

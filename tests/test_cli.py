@@ -62,8 +62,25 @@ def test_lcrw_grid_trace(tmp_path, capsys):
     assert len(lines) > 1
 
 
-def test_lcrw_grid_requires_out(capsys):
+def test_lcrw_grid_requires_out(capsys, monkeypatch):
+    monkeypatch.setattr("cleb.families.transience_trace", _no_walk)
     assert run(["lcrw-grid", "--side", "9", "--seed", "1"]) == 2
+    assert "needs --out" in capsys.readouterr().err
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("the walk ran before the arguments were checked")
+
+
+@pytest.mark.parametrize("flags, message", [(["--d", "1", "--side", "12"], "--d must be 2"),
+                                           (["--d", "3", "--side", "12"], "--d must be 2"),
+                                           (["--side", "-3"], "--side must not be negative")])
+def test_lcrw_grid_rejects_bad_flags_before_walking(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr("cleb.families.transience_trace", _no_walk)
+    out = tmp_path / "grid.csv"
+    assert run(["lcrw-grid", *flags, "--seed", "1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_wilson_sandwich_report(tmp_path, capsys):

@@ -157,7 +157,7 @@ def test_parse_family_specs():
 def test_wired_msa_sequence_reports_probe_history():
     fam = RegularTree(2)
     report = wired_msa_sequence(fam, Exponential(1.0), [3, 4, 5], [1], 77)
-    hist = report.probe_for(1)
+    hist, = report.probes
     assert sorted(hist.by_radius) == [3, 4, 5]
     if len(set(hist.by_radius.values())) == 1:
         assert hist.stabilization_radius() == 3
@@ -255,7 +255,7 @@ def test_path_segment_msa_oscillates_across_radii():
     for s in range(20):
         report = wired_msa_sequence(fam, Exponential(1.0), [10, 20, 40, 80], [0],
                                     derive(5150, s))
-        hist = report.probe_for(0)
+        hist, = report.probes
         if len(set(hist.by_radius.values())) > 1:
             flips += 1
     assert flips >= 5
@@ -368,10 +368,50 @@ def _structure_digest(g, canonical=None, probe_map=None) -> str:
     ("tree:3", 6, "d6df5f8cdf5bf967"),
     ("gw:0.5", 8, "77472fb0d9c67fc6"),
     ("subdiv:2:3", 5, "1b3ce54fe4c892f2"),
+    ("lattice:1", 30, "edd61a9a181e65e4"),
+    ("lattice:2", 1, "cd5a033028177462"),
+    ("lattice:2", 2, "bd0b4e024cf88140"),
+    ("lattice:2", 20, "406399fed5714352"),
+    ("lattice:3", 4, "c0808b311b66a6bb"),
+    ("lattice:4", 2, "2f903c3c1c791ff6"),
 ])
 def test_realized_structure_is_pinned(spec, radius, expected):
     real = parse_family(spec, 7).realize(radius)
     assert _structure_digest(real.graph, real.canonical, real.probe_map) == expected
+
+
+@pytest.mark.parametrize("dim, radius, expected", [
+    (1, 30, "79f255af7322872b"),
+    (2, 1, "a75eaf781d44ed60"),
+    (2, 2, "6a4a81bff7557799"),
+    (2, 20, "31dabd7438f144e4"),
+    (3, 4, "21f6a8233a37f770"),
+    (4, 2, "a45c9d2e6260ae11"),
+])
+def test_lattice_structure_without_canonical_ids_is_pinned(dim, radius, expected):
+    real = LatticeBox(dim).realize(radius, want_canonical=False)
+    assert _structure_digest(real.graph, real.canonical, real.probe_map) == expected
+
+
+@pytest.mark.parametrize("dim, radius, steps, expected", [
+    (2, 15, 118, "c7846c79401cb315"),
+    (3, 5, 24, "4f0f8dec52ec13c1"),
+])
+def test_lattice_trace_positions_are_pinned(dim, radius, steps, expected):
+    fam = LatticeBox(dim)
+    _, _, positions = transience_trace(fam, radius, fam._vcode((0,) * dim), 3000,
+                                       derive(5050))
+    assert len(positions) == steps
+    assert hashlib.sha256(repr(positions).encode()).hexdigest()[:16] == expected
+
+
+def test_lattice_codes_come_from_arrays(monkeypatch):
+    def refuse(self, coords):
+        raise AssertionError("per-vertex _vcode call")
+
+    monkeypatch.setattr(LatticeBox, "_vcode", refuse)
+    real = LatticeBox(2).realize(30)
+    assert real.graph.n_vertices == 61 * 61 + 1
 
 
 @pytest.mark.parametrize("depth, arities, expected", [
@@ -385,18 +425,14 @@ def test_glued_tree_structure_is_pinned(depth, arities, expected):
 
 
 def test_regular_tree_builds_a_level_per_expansion(monkeypatch):
-    calls = {"expand": 0, "children": 0}
-    for name in calls:
-        method = getattr(RegularTree, name)
-
-        def counted(self, *args, name=name, method=method):
-            calls[name] += 1
-            return method(self, *args)
-
-        monkeypatch.setattr(RegularTree, name, counted)
+    calls = []
+    expand = RegularTree.expand
+    monkeypatch.setattr(RegularTree, "expand",
+                        lambda self, level: calls.append(len(level)) or expand(self, level))
     RegularTree(2).realize(12)
-    assert calls == {"expand": 12, "children": 0}
+    assert calls == [2 ** depth for depth in range(12)]
     monkeypatch.undo()
+    # heap numbering: vertex v of tree:b has children b*v - (b - 2) + i, i < b
     tree, level = RegularTree(3), range(5, 14)
     parents, children = tree.expand(level)
-    assert list(zip(parents, children)) == [(v, c) for v in level for c in tree.children(v)]
+    assert list(zip(parents, children)) == [(v, 3 * v - 1 + i) for v in level for i in range(3)]

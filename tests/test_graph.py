@@ -60,7 +60,7 @@ def test_contract_triangle_collapses_to_two_vertices():
     g = triangle_with_exit()
     stack = ContractionStack(g)
     record = stack.contract_cycle([0, 1, 2])
-    assert stack.n_live_vertices() == 2
+    assert len(stack.live_vertices()) == 2
     assert stack.tail(3) == record.supervertex
     assert stack.head(3) == 0
     assert sorted(record.removed) == [0, 1, 2]
@@ -111,9 +111,9 @@ def test_uncontract_requires_top_record_and_spanning_arb():
 def test_vertex_count_drops_by_cycle_length_minus_one():
     g = triangle_with_exit()
     stack = ContractionStack(g)
-    before = stack.n_live_vertices()
+    before = len(stack.live_vertices())
     stack.contract_cycle([0, 1, 2])
-    assert stack.n_live_vertices() == before - 2
+    assert len(stack.live_vertices()) == before - 2
 
 
 def test_pop_restores_previous_view():
@@ -121,7 +121,7 @@ def test_pop_restores_previous_view():
     stack = ContractionStack(g)
     stack.contract_cycle([0, 1, 2])
     stack.pop()
-    assert stack.n_live_vertices() == 4
+    assert len(stack.live_vertices()) == 4
     assert not stack.is_dead(0)
     assert stack.tail(0) == 1 and stack.head(0) == 2
 
@@ -131,7 +131,7 @@ def test_stack_construction_is_lazy():
     g = real.graph
     stack = ContractionStack(g)
     assert not stack._out
-    assert stack.n_live_vertices() == g.n_vertices
+    assert len(stack.live_vertices()) == g.n_vertices
     assign = coupled_assignment(Exponential(), derive(5, 14), real)
     cleb_walk(g, assign, 1, stack=stack)
     assert stack.records
@@ -191,7 +191,8 @@ def random_stack_and_cycles(seed, n=6, extra=10):
 
 def find_directed_cycle(stack):
     """Any directed cycle in the current view, by successor search."""
-    for start in stack.live_vertices():
+    live = stack.live_vertices()
+    for start in live:
         path = []
         seen = {}
         v = start
@@ -207,7 +208,7 @@ def find_directed_cycle(stack):
             seen[v] = len(path)
             path.append((v, e))
             v = h
-            if len(path) > stack.n_live_vertices():
+            if len(path) > len(live):
                 break
     return None
 
