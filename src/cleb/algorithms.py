@@ -51,7 +51,7 @@ HIT_BOUNDARY = "hit_boundary"
 STEP_CAP = "step_cap_reached"
 
 
-@dataclass
+@dataclass(slots=True)
 class ExposureStep:
     step: int
     vertex: VertexId
@@ -108,15 +108,14 @@ class _Exposure:
         """Subtract v's minimum and log the newly exposed edge."""
         edge, pi = min_out_subtract(self.assign, self.stack, v)
         color = self.vertex_color.get(v, 1)
-        step = ExposureStep(step=len(self.log.steps) + 1, vertex=v,
-                            edge=edge, pi=pi, color=color)
+        step = ExposureStep(len(self.log.steps) + 1, v, edge, pi, color)
         self.log.steps.append(step)
         self.log.colors[edge] = color
         self.exposed_out[v] = edge
         return step
 
     def contract(self, cycle: Sequence[EdgeId], step: ExposureStep) -> ContractionRecord:
-        level = 1 + max(self.log.colors[e] for e in cycle)
+        level = 1 + max(map(self.log.colors.__getitem__, cycle))
         record = self.stack.contract_cycle(cycle)
         for member in record.members:
             self.exposed_out.pop(member, None)
@@ -238,20 +237,36 @@ def order_chooser(order: Sequence[VertexId]) -> Chooser:
 
     Always returns a live, unrevealed, non-boundary supervertex (or None
     once every live supervertex is revealed), so it is valid on any
-    instance.
+    instance.  A supervertex with no member in `order` is never returned.
+    A heap keyed by each supervertex's first position in `order` makes a
+    call O(log n): a contraction pushes its supervertex at the smallest
+    key of its members, and entries that surface revealed or dead are
+    dropped.  The heap belongs to one stack and restarts on another.
     """
+    import heapq  # here, so that solves without a chooser do not load it
+
     order = list(order)
+    state: dict = {}
 
     def choose(exp: _Exposure) -> VertexId | None:
-        stack = exp.stack
-        boundary = stack.base.boundary
-        for x in order:
-            if x in boundary:
-                continue
-            s = stack.resolve(x)
-            if s not in exp.exposed_out and stack.is_live_vertex(s):
-                return s
-        return None
+        stack, records = exp.stack, exp.stack.records
+        if state.get("stack") is not stack:
+            key: dict[VertexId, int] = {}
+            for i, x in enumerate(order):
+                if x in stack.base._vset and x not in stack.base.boundary:
+                    key.setdefault(x, i)
+            state.update(stack=stack, key=key, heap=sorted((i, x) for x, i in key.items()),
+                         seen=0)
+        key, heap = state["key"], state["heap"]
+        for record in records[state["seen"]:]:
+            keys = [key[m] for m in record.members if m in key]
+            if keys:
+                key[record.supervertex] = first = min(keys)
+                heapq.heappush(heap, (first, record.supervertex))
+        state["seen"] = len(records)
+        while heap and (heap[0][1] in exp.exposed_out or not stack.is_live_vertex(heap[0][1])):
+            heapq.heappop(heap)
+        return heap[0][1] if heap else None
 
     return choose
 
@@ -519,6 +534,8 @@ def cleb_walk_algorithm(graph: DirectedMultigraph, assign: WeightAssignment,
     visited: set[VertexId] = set(graph.boundary)
     absorbing: set[VertexId] = {stack.resolve(b) for b in graph.boundary}
     walks: list[WalkRecord] = []
+    tails, heads = graph.tails, graph.heads
+    resolve = stack.resolve
     for x in order:
         if x in visited:
             continue
@@ -527,13 +544,12 @@ def cleb_walk_algorithm(graph: DirectedMultigraph, assign: WeightAssignment,
         if rec.terminal != HIT_BOUNDARY:
             raise IncompleteWalkError(f"walk from {x} hit the step cap")
         walks.append(rec)
-        tails, heads = graph.tails, graph.heads
         for s in rec.steps:
             e = s.edge
             for endpoint in (tails[e], heads[e]):
                 if endpoint not in visited:
                     visited.add(endpoint)
-                absorbing.add(stack.resolve(endpoint))
+                absorbing.add(resolve(endpoint))
     missing = [v for v in graph.vertices if v not in visited]
     if missing:
         raise DisconnectedError(f"vertices never reached: {missing[:5]}")
@@ -578,30 +594,3 @@ def connectivity_profile(graph: DirectedMultigraph, arb: Arborescence,
         bits.append(0 if m is None or m in graph.boundary else 1)
     return bits
 
-
-def chained_walk_connectivity(graph: DirectedMultigraph, assign: WeightAssignment,
-                              u: VertexId, v: VertexId) -> int:
-    """Connectivity bit for (u, v) from two chained walks.
-
-    Walk from u first; then walk from v with u's explored cluster
-    absorbing.  The pair is connected in the arborescence exactly when the
-    second walk stops somewhere other than the original boundary.
-    """
-    stack = ContractionStack(graph)
-    exp = _Exposure(stack, assign)
-    rec_u = cleb_walk(graph, assign, u, stack=stack, exposure=exp)
-    if rec_u.terminal != HIT_BOUNDARY:
-        raise IncompleteWalkError("first walk hit the step cap")
-    absorbing = {stack.resolve(b) for b in graph.boundary}
-    b_u: set[VertexId] = set(graph.boundary)
-    for s in rec_u.steps:
-        for endpoint in (graph.tails[s.edge], graph.heads[s.edge]):
-            b_u.add(endpoint)
-            absorbing.add(stack.resolve(endpoint))
-    if v in b_u:
-        return 0 if v in graph.boundary else 1
-    rec_v = cleb_walk(graph, assign, v, stack=stack, exposure=exp, absorbing=absorbing)
-    if rec_v.terminal != HIT_BOUNDARY:
-        raise IncompleteWalkError("second walk hit the step cap")
-    y = graph.heads[rec_v.steps[-1].edge]
-    return 0 if y in graph.boundary else 1

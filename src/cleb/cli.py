@@ -102,6 +102,9 @@ def _cmd_lcrw_grid(args) -> int:
         raise ConfigError(f"lcrw-grid writes x,y coordinates, so --d must be 2, not {args.d}")
     if args.side < 0:
         raise ConfigError("--side must not be negative")
+    if args.side < 3 or args.side % 2 == 0:
+        raise ConfigError(f"--side must be odd and at least 3 (a box of radius r has side "
+                          f"2r + 1), not {args.side}")
     if not args.out:
         raise ConfigError("lcrw-grid needs --out for the trace file")
     family = LatticeBox(args.d)
@@ -359,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcrw-grid", help="lattice walk trace with coordinates")
     common(p)
     p.add_argument("--d", type=int, default=2, help="lattice dimension; only 2 is supported")
-    p.add_argument("--side", type=int, required=True)
+    p.add_argument("--side", type=int, required=True, help="box side, odd and at least 3")
     p.set_defaults(fn=_cmd_lcrw_grid)
 
     p = sub.add_parser("wilson-sandwich", help="erased-versus-contracted frequencies")

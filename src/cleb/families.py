@@ -415,10 +415,9 @@ def connectivity_monotonicity_check(family: GraphFamily, model: WeightModel,
                                     step_cap: int = 1_000_000) -> MonotonicityVerdict:
     """Check that pairwise connectivity of probes never drops as radii grow.
 
-    Each radius is solved as a full MSA.  Chained walks
-    (:func:`chained_walk_connectivity`) give the same bits, but with ten
-    pairs per radius their walks on the line each cover most of the
-    segment, which made them slower there than one full solve.
+    Each radius is solved as a full MSA and every pair's bit is read off
+    that one arborescence: with ten pairs per radius, walks from the
+    probes each cover most of the segment, so one full solve is cheaper.
     """
     from .algorithms import cleb_walk_algorithm, connectivity_profile
 

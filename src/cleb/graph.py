@@ -2,9 +2,11 @@
 
 Edge identity is permanent: contraction never renames an edge, it only
 changes how its endpoints resolve.  A :class:`ContractionStack` layers an
-undoable union-find over a base graph, so the backward (uncontraction)
-pass can pop records in strict stack order and recover every intermediate
-view exactly.
+undoable quick-find over a base graph (every absorbed node maps straight
+to its class root), so a resolve is one lookup, and the backward
+(uncontraction) pass can pop records in strict stack order and recover
+every intermediate view exactly.  The union tree survives only for the
+potentials, and an undo entry keeps only what its record does not.
 
 Both directions cost only the region they touch.  Building a stack is
 O(1): a vertex reads the base graph's out-list until a contraction writes
@@ -120,7 +122,7 @@ def build_graph(vertices: Iterable[VertexId], boundary: Iterable[VertexId],
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContractionRecord:
     """One contraction event: which cycle, into which fresh supervertex.
 
@@ -171,21 +173,35 @@ class ContractionStack:
     ``potential(x)`` is the total amount ever subtracted from the outgoing
     edges of the supervertices that vertex ``x`` has belonged to.
 
+    Membership is quick-find under union by size: ``_root`` maps every
+    absorbed node (base vertex or supervertex label) straight to its class
+    root, and ``_members`` lists the other nodes of each root's class, so
+    a resolve is one dict lookup.  A union relabels the smaller class and
+    appends it to the larger one's list; ``pop`` truncates that list and
+    relabels back.  The union tree (``_parent``) is kept only for the
+    absorbed roots, whose offsets ``potential`` sums along the lineage.
+
     Each class root stores exactly the live out-edges of its supervertex.
     Construction is lazy: a root reads the base graph's out-list until a
     contraction writes it a list of its own.  A walk therefore pays only
-    for the region it explores.
+    for the region it explores.  An undo entry holds only what the record
+    does not: the unions, the root, its previous label, and where the
+    root's own list lost edges.
     """
 
     def __init__(self, graph: DirectedMultigraph):
         self.base = graph
-        self._parent: dict[int, int] = {}
+        # absorbed node -> class root (absent: the node is a root)
+        self._root: dict[int, int] = {}
+        # class root -> the other nodes of its class (absent: none)
+        self._members: dict[int, list[int]] = {}
         self._size: dict[int, int] = {}
         # class root -> public supervertex id (absent: root is its own public id)
         self._label: dict[int, int] = {}
         # potential bookkeeping: class-level accumulator at roots, plus the
-        # offset of a former root relative to its parent at union time
+        # parent and offset of each absorbed root relative to its union
         self._racc: dict[int, object] = {}
+        self._parent: dict[int, int] = {}
         self._doff: dict[int, object] = {}
         # class root -> its live out-edges; absent until a contraction leaves
         # the root in charge of a merged class.  Absorbed roots keep theirs
@@ -196,22 +212,15 @@ class ContractionStack:
         self._absorbed: set[VertexId] = set()
         self._live_labels: dict[VertexId, None] = {}
         self.records: list[ContractionRecord] = []
-        self._undo: list[dict] = []
+        # (unions, root, old_label, n_kept, dropped) per record
+        self._undo: list[tuple] = []
         self._next_label = graph.id_bound
 
     # -- resolution ---------------------------------------------------
 
-    def _find(self, x: int) -> int:
-        parent = self._parent
-        while True:
-            p = parent.get(x, x)
-            if p == x:
-                return x
-            x = p
-
     def resolve(self, v: VertexId) -> VertexId:
         """Current supervertex containing v (v itself if never contracted)."""
-        r = self._find(v)
+        r = self._root.get(v, v)
         return self._label.get(r, r)
 
     def tail(self, e: EdgeId) -> VertexId:
@@ -222,7 +231,8 @@ class ContractionStack:
 
     def is_dead(self, e: EdgeId) -> bool:
         """Whether a contraction swallowed both endpoints of e."""
-        return self._find(self.base.tails[e]) == self._find(self.base.heads[e])
+        t, h = self.base.tails[e], self.base.heads[e]
+        return self._root.get(t, t) == self._root.get(h, h)
 
     def is_live_vertex(self, v: VertexId) -> bool:
         return v in self._live_labels or (v in self.base._vset and v not in self._absorbed)
@@ -239,7 +249,7 @@ class ContractionStack:
         supervertex lists its surviving class root's edges first, then
         those of the other members in the order their classes merged.
         """
-        root = self._find(v)
+        root = self._root.get(v, v)
         out = self._out.get(root)
         return self.base._out[root] if out is None else out
 
@@ -247,11 +257,11 @@ class ContractionStack:
 
     def add_potential(self, v: VertexId, amount) -> None:
         """Record that `amount` was subtracted from every outgoing edge of v."""
-        r = self._find(v)
+        r = self._root.get(v, v)
         self._racc[r] = self._racc.get(r, 0) + amount
 
     def potential(self, x: VertexId):
-        """Total subtraction accumulated along x's supervertex lineage."""
+        """Total subtraction accumulated along base vertex x's supervertex lineage."""
         parent = self._parent
         doff = self._doff
         total = 0
@@ -275,64 +285,72 @@ class ContractionStack:
         cycle = tuple(cycle)
         if len(cycle) < 2:
             raise NotACycleError("a cycle needs at least two live edges")
-        tails = []
+        find = self._root.get
+        base_tails, heads = self.base.tails, self.base.heads
+        roots, head_roots = [], []
         for e in cycle:
-            if self.is_dead(e):
+            t, h = base_tails[e], heads[e]
+            roots.append(find(t, t))
+            head_roots.append(find(h, h))
+            if roots[-1] == head_roots[-1]:
                 raise NotACycleError(f"edge {e} is dead")
-            tails.append(self.tail(e))
-        member_set = set(tails)
-        if len(member_set) != len(tails):
+        if len(set(roots)) != len(roots):
             raise NotACycleError("cycle repeats a supervertex")
         for i, e in enumerate(cycle):
-            h = self.head(e)
-            if h != tails[(i + 1) % len(cycle)]:
+            if head_roots[i] != roots[(i + 1) % len(cycle)]:
                 raise NotACycleError(f"edge {e} does not chain into the next tail")
-        hit = member_set & self.base.boundary
+        tails = [self._label.get(r, r) for r in roots]
+        hit = self.base.boundary.intersection(tails)
         if hit:
             raise TouchesBoundaryError(f"cycle passes through boundary {sorted(hit)}")
 
-        undo = {"unions": [], "label": None, "live": tuple(tails)}
-        roots = [self._find(t) for t in tails]
-        lists = [self.out_edges(r) for r in roots]
+        own, base_out = self._out, self.base._out
+        lists = [own[r] if r in own else base_out[r] for r in roots]
         # union all member classes; `order` lists the members in the order
         # their out-lists concatenate, surviving root first
+        unions: list[tuple] = []
         root = roots[0]
         order = [0]
         for i in range(1, len(roots)):
-            if self._union(root, roots[i], undo) == root:
+            if self._union(root, roots[i], unions) == root:
                 order.append(i)
             else:
                 root = roots[i]
                 order.insert(0, i)
+        # the nodes merged into the root just now; the root's own list has
+        # no edge into its old class, so exactly these heads kill its edges
+        n_old = next(n for _, ra, n, _ in unions if ra == root)
+        joined = set(self._members[root][n_old:])
 
-        find = self._find
-        heads = self.base.heads
         live: list[EdgeId] = []
         removed: list[EdgeId] = []
         # positions of the dying edges in the root's own list, for pop
-        dropped: list[int] = []
+        dropped: list[int] | None = []
         for k, e in enumerate(lists[order[0]]):
-            if find(heads[e]) == root:
+            if heads[e] in joined:
                 removed.append(e)
                 dropped.append(k)
             else:
                 live.append(e)
-        undo["out"] = (len(live), dropped)
+        n_kept = len(live)
+        if root not in own:
+            dropped = None  # pop goes back to the base list
         for i in order[1:]:
             for e in lists[i]:
-                if find(heads[e]) == root:
+                h = heads[e]
+                if find(h, h) == root:
                     removed.append(e)
                 else:
                     live.append(e)
-        self._out[root] = live
+        own[root] = live
 
         # tag the merged class with a fresh id; the id joins the class so it
         # resolves like any member
         label = self._next_label
         self._next_label += 1
-        self._parent[label] = root
-        undo["label_node"] = label
-        undo["label"] = (root, self._label.get(root))
+        self._root[label] = root
+        self._members[root].append(label)
+        old_label = self._label.get(root)
         self._label[root] = label
 
         for t in tails:
@@ -342,18 +360,25 @@ class ContractionStack:
                 self._absorbed.add(t)
         self._live_labels[label] = None
 
-        record = ContractionRecord(cycle=cycle, members=tuple(tails),
-                                   supervertex=label, removed=tuple(removed))
+        record = ContractionRecord(cycle, tuple(tails), label, tuple(removed))
         self.records.append(record)
-        self._undo.append(undo)
+        self._undo.append((unions, root, old_label, n_kept, dropped))
         return record
 
-    def _union(self, ra: int, rb: int, undo: dict) -> int:
-        if self._size.get(ra, 1) < self._size.get(rb, 1):
+    def _union(self, ra: int, rb: int, unions: list) -> int:
+        size = self._size
+        sa, sb = size.get(ra, 1), size.get(rb, 1)
+        if sa < sb:
             ra, rb = rb, ra
-        undo["unions"].append((rb, ra, self._size.get(ra, 1), self._label.pop(rb, None)))
+        into = self._members.setdefault(ra, [])
+        unions.append((rb, ra, len(into), self._label.pop(rb, None)))
+        into.append(rb)
+        moved = self._members.pop(rb, ())
+        into += moved
+        self._root[rb] = ra
+        self._root.update(dict.fromkeys(moved, ra))
+        size[ra] = sa + sb
         self._parent[rb] = ra
-        self._size[ra] = self._size.get(ra, 1) + self._size.get(rb, 1)
         # keep members' accumulated potential unchanged across the merge
         self._doff[rb] = self._racc.get(rb, 0) - self._racc.get(ra, 0)
         return ra
@@ -371,26 +396,42 @@ class ContractionStack:
         if not self.records:
             raise RecordNotTopError("no contraction to undo")
         record = self.records.pop()
-        undo = self._undo.pop()
-        root, old_label = undo["label"]
+        unions, root, old_label, n_kept, dropped = self._undo.pop()
+        root_of, members, size = self._root, self._members, self._size
+        del root_of[record.supervertex]
+        members[root].pop()
         if old_label is None:
-            self._label.pop(root, None)
+            del self._label[root]
         else:
             self._label[root] = old_label
-        del self._parent[undo["label_node"]]
-        for rb, ra, old_size, old_label_b in reversed(undo["unions"]):
+        for rb, ra, n_old, old_label_b in reversed(unions):
+            moved = members[ra][n_old + 1:]
+            if n_old:
+                del members[ra][n_old:]
+            else:
+                del members[ra]
+            del root_of[rb]
+            if moved:
+                members[rb] = moved
+                root_of.update(dict.fromkeys(moved, rb))
+            n = size[ra] - size.get(rb, 1)
+            if n > 1:
+                size[ra] = n
+            else:
+                del size[ra]
             del self._parent[rb]
-            self._size[ra] = old_size
-            self._doff.pop(rb, None)
+            del self._doff[rb]
             if old_label_b is not None:
                 self._label[rb] = old_label_b
-        n_kept, dropped = undo["out"]
-        out = self._out[root]
-        del out[n_kept:]
-        for k, e in zip(dropped, record.removed):
-            out.insert(k, e)
+        if dropped is None:
+            del self._out[root]
+        else:
+            out = self._out[root]
+            del out[n_kept:]
+            for k, e in zip(dropped, record.removed):
+                out.insert(k, e)
         del self._live_labels[record.supervertex]
-        for t in undo["live"]:
+        for t in record.members:
             if t in self._absorbed:
                 self._absorbed.remove(t)
             else:

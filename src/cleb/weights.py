@@ -231,16 +231,16 @@ def min_out_subtract(assign: WeightAssignment, stack: ContractionStack,
     """
     base = assign.base
     tails = stack.base.tails
-    pot_cache: dict[VertexId, object] = {}
+    # a supervertex lists each member's edges together: one potential per run
+    prev_t = p = None
     best_e = None
     best_w = None
     second_w = None
     for e in stack.out_edges(v):
         t = tails[e]
-        p = pot_cache.get(t)
-        if p is None:
+        if t != prev_t:
             p = stack.potential(t)
-            pot_cache[t] = p
+            prev_t = t
         w = base(e) - p
         if best_w is None or w < best_w:
             second_w = best_w

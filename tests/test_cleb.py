@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,7 +8,6 @@ import pytest
 from cleb.algorithms import (
     HIT_BOUNDARY,
     STEP_CAP,
-    chained_walk_connectivity,
     cleb_walk,
     cleb_walk_algorithm,
     colored_exposure_set,
@@ -17,12 +17,13 @@ from cleb.algorithms import (
     recover_branch,
     sequential_cleb,
 )
-from cleb.errors import BadChooserError, DisconnectedError, IncompleteWalkError
-from cleb.graph import build_graph, validate_arborescence
+from cleb.errors import BadChooserError, DisconnectedError, IncompleteWalkError, NotSpanningError
+from cleb.families import coupled_assignment, parse_family
+from cleb.graph import ContractionStack, build_graph, validate_arborescence
 from cleb.instances import random_instance
 from cleb.oracle import brute_force_msa
 from cleb.util import derive
-from cleb.weights import Fixed, sample_weights
+from cleb.weights import Exponential, Fixed, sample_weights
 
 
 def fixed(graph, values):
@@ -203,19 +204,6 @@ def test_connectivity_profile_trivial_cases():
     assert bits == [1, 0]
 
 
-def test_connectivity_profile_matches_chained_walks():
-    for i in range(60):
-        g, assign = random_instance(derive(9006, i))
-        inner = [v for v in g.vertices if v not in g.boundary]
-        if len(inner) < 2:
-            continue
-        rng = random.Random(i)
-        u, v = rng.sample(inner, 2)
-        truth = brute_force_msa(g, assign)
-        assert connectivity_profile(g, truth, [(u, v)])[0] == \
-            chained_walk_connectivity(g, assign, u, v)
-
-
 def test_exposure_log_jsonl_export(tmp_path):
     g = build_graph([0, 1, 2], [0], [(1, 2), (2, 1), (2, 0)])
     _, log = original_cleb(g, fixed(g, {0: 1, 1: 2, 2: 5}))
@@ -302,3 +290,60 @@ def test_walk_exposes_minimum_future_first():
         epoch1 = rec.epochs()[0]
         early = {s.edge for s in rec.log.steps[:epoch1.tau + 1]}
         assert truth.outgoing[start] in early
+
+
+def _shuffled_order_run(spec, radius, chooser=None):
+    """sequential_cleb on a wired ball under exp1, inner vertices in a seeded shuffle."""
+    real = parse_family(spec).realize(radius)
+    g = real.graph
+    assign = coupled_assignment(Exponential(), derive(77, radius), real)
+    inner = [v for v in g.vertices if v not in g.boundary]
+    chooser = chooser or order_chooser(random.Random(77).sample(inner, len(inner)))
+    return sequential_cleb(g, assign, chooser)
+
+
+def _log_digest(log):
+    h = hashlib.sha256()
+    for s in log.steps:
+        cycle = s.record.cycle if s.record is not None else ()
+        h.update(repr((s.step, s.vertex, s.edge, s.color, cycle)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec, radius, digest", [
+    ("lattice:2", 10, "655d50fc9fddd29a0722a77e2e4ea324edc45d2b4802e9427a24468c25861715"),
+    ("lattice:2", 20, "c04acdfa2a0fd1a7d75eb80fbe2b52bebe77d8858e703afa03516aa01999cdb4"),
+    ("tree:2", 8, "4a6647fa1368f78adb9a85b6974cd8bd5d3d956dd31d7e9a5ef3b8f73ab4adca"),
+])
+def test_order_chooser_exposure_log_is_pinned(spec, radius, digest):
+    _, log = _shuffled_order_run(spec, radius)
+    assert _log_digest(log) == digest
+
+
+@pytest.mark.parametrize("radius", [20, 40])
+def test_order_chooser_resolves_a_few_times_per_reveal(radius, monkeypatch):
+    calls = [0]
+    resolve = ContractionStack.resolve
+
+    def counted(self, v):
+        calls[0] += 1
+        return resolve(self, v)
+
+    monkeypatch.setattr(ContractionStack, "resolve", counted)
+    _, log = _shuffled_order_run("lattice:2", radius)
+    assert calls[0] <= 4 * len(log.steps)
+
+
+def test_order_chooser_keeps_no_state_across_stacks():
+    g = parse_family("lattice:2").realize(10).graph
+    inner = [v for v in g.vertices if v not in g.boundary]
+    chooser = order_chooser(inner[::-1])
+    first = [_log_digest(_shuffled_order_run("lattice:2", 10, chooser)[1]) for _ in range(2)]
+    fresh = _log_digest(_shuffled_order_run("lattice:2", 10, order_chooser(inner[::-1]))[1])
+    assert first == [fresh, fresh]
+
+
+def test_order_chooser_never_returns_a_supervertex_outside_order():
+    g = build_graph([0, 1, 2], [0], [(1, 0), (2, 1)])
+    with pytest.raises(NotSpanningError, match="1 was never revealed"):
+        sequential_cleb(g, fixed(g, {0: 1, 1: 2}), order_chooser([2, 5]))

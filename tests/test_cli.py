@@ -74,7 +74,11 @@ def _no_walk(*args, **kwargs):
 
 @pytest.mark.parametrize("flags, message", [(["--d", "1", "--side", "12"], "--d must be 2"),
                                            (["--d", "3", "--side", "12"], "--d must be 2"),
-                                           (["--side", "-3"], "--side must not be negative")])
+                                           (["--side", "-3"], "--side must not be negative"),
+                                           (["--side", "12"], "--side must be odd"),
+                                           (["--side", "0"], "--side must be odd"),
+                                           (["--side", "1"], "--side must be odd"),
+                                           (["--side", "2"], "--side must be odd")])
 def test_lcrw_grid_rejects_bad_flags_before_walking(tmp_path, capsys, monkeypatch, flags, message):
     monkeypatch.setattr("cleb.families.transience_trace", _no_walk)
     out = tmp_path / "grid.csv"

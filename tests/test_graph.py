@@ -189,9 +189,12 @@ def random_stack_and_cycles(seed, n=6, extra=10):
     return build_graph(list(range(n + 1)), [0], edges)
 
 
-def find_directed_cycle(stack):
-    """Any directed cycle in the current view, by successor search."""
+def find_directed_cycle(stack, first=0):
+    """Any directed cycle in the current view, by successor search from
+    the live vertices in order, rotated to begin at position `first`."""
     live = stack.live_vertices()
+    first %= len(live)
+    live = live[first:] + live[:first]
     for start in live:
         path = []
         seen = {}
@@ -378,3 +381,119 @@ def test_first_bad_edge_decides_the_error(edges, error, message):
 def test_from_arcs_rejects_unaligned_arcs():
     with pytest.raises(ValueError):
         DirectedMultigraph.from_arcs([0, 1, 2], [0], [1, 2], [0])
+
+
+class _UnionChainModel:
+    """Reference stack: the union chain the quick-find replaced.  Absorbed
+    roots and labels point at their parents and every read walks the chain;
+    a contraction unions its members' roots in cycle order by size."""
+
+    def __init__(self):
+        self.parent, self.size, self.label, self.racc, self.doff = {}, {}, {}, {}, {}
+        self.saved = []
+
+    def find(self, x):
+        while self.parent.get(x, x) != x:
+            x = self.parent[x]
+        return x
+
+    def resolve(self, v):
+        r = self.find(v)
+        return self.label.get(r, r)
+
+    def potential(self, x):
+        total = 0
+        while self.parent.get(x, x) != x:
+            total += self.doff.get(x, 0)
+            x = self.parent[x]
+        return total + self.racc.get(x, 0)
+
+    def add_potential(self, v, amount):
+        r = self.find(v)
+        self.racc[r] = self.racc.get(r, 0) + amount
+
+    def contract(self, record):
+        self.saved.append([dict(d) for d in (self.parent, self.size, self.label, self.doff)])
+        root, *rest = [self.find(m) for m in record.members]
+        for rb in rest:
+            ra = root
+            if self.size.get(ra, 1) < self.size.get(rb, 1):
+                ra, rb = rb, ra
+            self.label.pop(rb, None)
+            self.parent[rb] = root = ra
+            self.size[ra] = self.size.get(ra, 1) + self.size.get(rb, 1)
+            self.doff[rb] = self.racc.get(rb, 0) - self.racc.get(ra, 0)
+        self.parent[record.supervertex] = root
+        self.label[root] = record.supervertex
+
+    def pop(self):
+        self.parent, self.size, self.label, self.doff = self.saved.pop()
+
+
+def _stack_state(stack):
+    """Copies of every undoable map of the stack, lists included."""
+    return ({k: list(v) for k, v in stack._members.items()},
+            {k: list(v) for k, v in stack._out.items()},
+            *(dict(d) for d in (stack._root, stack._parent, stack._doff,
+                                stack._size, stack._label)))
+
+
+@given(st.integers(min_value=0, max_value=10_000),
+       st.lists(st.tuples(st.sampled_from("ccpa"), st.integers(0, 99)), min_size=20, max_size=40))
+@settings(max_examples=120, deadline=None)
+def test_quick_find_stack_matches_the_union_chain(seed, ops):
+    """Interleaved potentials, contractions and pops read the same as the
+    union-chain reference, and each pop restores every undoable map."""
+    g = random_stack_and_cycles(seed, n=10, extra=25)
+    stack = ContractionStack(g)
+    model = _UnionChainModel()
+    states = []
+    for kind, k in ops:
+        if kind == "c":
+            cycle = find_directed_cycle(stack, k)
+            if cycle is None:
+                continue
+            states.append(_stack_state(stack))
+            model.contract(stack.contract_cycle(cycle))
+        elif kind == "p":
+            if not stack.records:
+                continue
+            stack.pop()
+            model.pop()
+            assert _stack_state(stack) == states.pop()
+        else:
+            live = stack.live_vertices()
+            v, amount = live[k % len(live)], (k + 1) / 7
+            stack.add_potential(v, amount)
+            model.add_potential(v, amount)
+        for v in g.vertices:
+            assert stack.resolve(v) == model.resolve(v)
+            assert stack.potential(v) == model.potential(v)
+        for e in range(g.n_edges):
+            assert stack.is_dead(e) == (model.find(g.tails[e]) == model.find(g.heads[e]))
+
+
+def test_lcrw_membership_stays_flat():
+    """After uniform walks from the origin that contract 1,000 loops or more,
+    every absorbed node maps to a class root, and each root's member list
+    names exactly the nodes mapped to it."""
+    family = LatticeBox(2)
+    real = family.realize(50)
+    g = real.graph
+    stack = ContractionStack(g)
+    randrange = random.Random(0).randrange
+
+    def uniform_edge(v):
+        out = stack.out_edges(v)
+        return out[randrange(len(out))], None
+
+    absorbing = {stack.resolve(b) for b in g.boundary}
+    for _ in range(5):  # one stack, so later walks start from the contracted origin
+        _contracting_walk(stack, family.origin(real), 10**6, absorbing, uniform_edge,
+                          stack.contract_cycle)
+    assert len(stack.records) >= 1000
+    assert not any(r in stack._root for r in stack._root.values())
+    by_root = {}
+    for x, r in stack._root.items():
+        by_root.setdefault(r, set()).add(x)
+    assert by_root == {r: set(m) for r, m in stack._members.items()}

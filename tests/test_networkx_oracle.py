@@ -6,7 +6,14 @@ so the instance is reversed and its boundary merged into one root vertex.
 
 import pytest
 
-from cleb.algorithms import cleb_walk, cleb_walk_algorithm, original_cleb, recover_branch
+from cleb.algorithms import (
+    cleb_walk,
+    cleb_walk_algorithm,
+    order_chooser,
+    original_cleb,
+    recover_branch,
+    sequential_cleb,
+)
 from cleb.families import coupled_assignment, parse_family
 from cleb.util import derive
 from cleb.weights import Exponential
@@ -43,6 +50,9 @@ def test_engine_matches_networkx_edmonds(spec, radius):
     assert walk_arb.edge_set() == truth
     arb, _ = original_cleb(graph, assign)
     assert arb.edge_set() == truth
+    inner = [v for v in graph.vertices if v not in graph.boundary]
+    seq_arb, _ = sequential_cleb(graph, assign, order_chooser(inner[::-1]))
+    assert seq_arb.edge_set() == truth
 
 
 def test_recover_branch_inside_the_minimum_at_scale():
