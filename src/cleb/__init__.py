@@ -3,7 +3,6 @@
 from .algorithms import (
     cleb_walk,
     cleb_walk_algorithm,
-    colored_exposure_set,
     connectivity_profile,
     order_chooser,
     original_cleb,
@@ -45,7 +44,6 @@ __all__ = [
     "build_graph",
     "cleb_walk",
     "cleb_walk_algorithm",
-    "colored_exposure_set",
     "connectivity_profile",
     "enumerate_arborescences",
     "invasion_percolation",

@@ -89,11 +89,6 @@ class ExposureLog:
                     fh.write(json.dumps(row) + "\n")
 
 
-def colored_exposure_set(log: ExposureLog) -> frozenset[tuple[EdgeId, int]]:
-    """The exposed edges of a completed run, tagged with their colors."""
-    return log.colored_exposure_set()
-
-
 class _Exposure:
     """Shared bookkeeping: exposed-out map, colors, and the event log."""
 
@@ -354,32 +349,6 @@ class WalkRecord:
 
     def max_path_len(self) -> int:
         return max((s.path_len for s in self.steps), default=0)
-
-    def increments(self) -> list[int]:
-        out = []
-        prev = 0
-        for s in self.steps:
-            out.append(s.path_len - prev)
-            prev = s.path_len
-        return out
-
-    def fair_step_counts(self) -> tuple[int, int]:
-        """(up, down) counts over steps taken from a non-empty live path.
-
-        From an empty path every outgoing edge extends, so the +1 there is
-        forced; the fair-coin behaviour of the path length on the line is
-        a statement about the remaining steps.
-        """
-        up = down = 0
-        prev = 0
-        for s in self.steps:
-            if prev > 0:
-                if s.path_len > prev:
-                    up += 1
-                elif s.path_len < prev:
-                    down += 1
-            prev = s.path_len
-        return up, down
 
     def write_csv(self, path, positions: Sequence[tuple[int, int]] | None = None) -> None:
         """CSV trace: step,event,path_len,cycle_len[,x,y]."""

@@ -126,7 +126,7 @@ def _cmd_wilson_sandwich(args) -> int:
         raise ConfigError("wilson-sandwich needs fixed base weights")
     weights = {e: float(assign.base(e)) for e in range(graph.n_edges)}
     results, _ = wilson_sandwich_trial(graph, weights, args.start, args.betas,
-                                       args.trials, args.seed)
+                                       args.trials, args.seed, step_cap=args.step_cap)
     lines = ["beta,trials,frequency,stderr,capped"]
     for r in results:
         lines.append(f"{r.beta},{r.trials},{repr(r.frequency)},{repr(r.stderr)},{r.capped}")
@@ -334,15 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the stochastic processes around them.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=False, start=False):
+    def common(p, graph=False, start=False, step_cap=1_000_000, weights=True):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--step-cap", type=int, default=1_000_000)
+        if step_cap:
+            p.add_argument("--step-cap", type=int, default=step_cap)
         p.add_argument("--out")
         if graph:
             p.add_argument("--graph", required=True,
                            help="instance file or fixture:<name>")
-            p.add_argument("--weights", help="exp1 | unif01 | fixed:<path> | "
-                                             "boltzmann:<path>:<beta>")
+            if weights:
+                p.add_argument("--weights", help="exp1 | unif01 | fixed:<path> | "
+                                                 "boltzmann:<path>:<beta>")
         if start:
             p.add_argument("--start", type=int, required=True)
 
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_cleb_walk)
 
     p = sub.add_parser("lcrw", help="loop-contracting random walk trace")
-    common(p, graph=True, start=True)
+    common(p, graph=True, start=True, weights=False)
     p.set_defaults(fn=_cmd_lcrw)
 
     p = sub.add_parser("lcrw-grid", help="lattice walk trace with coordinates")
@@ -366,18 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lcrw_grid)
 
     p = sub.add_parser("wilson-sandwich", help="erased-versus-contracted frequencies")
-    common(p, graph=True, start=True)
+    common(p, graph=True, start=True, step_cap=100_000)
     p.add_argument("--betas", type=lambda s: [float(x) for x in s.split(",")],
                    default=[2.0, 5.0, 10.0, 20.0])
     p.add_argument("--trials", type=int, default=400)
     p.set_defaults(fn=_cmd_wilson_sandwich)
 
     p = sub.add_parser("invasion-check", help="walk prefixes versus invasion order")
-    common(p, graph=True, start=True)
+    common(p, graph=True, start=True, step_cap=None)
     p.set_defaults(fn=_cmd_invasion_check)
 
     p = sub.add_parser("dist-compare", help="arborescence law under different weight models")
-    common(p, graph=True)
+    common(p, graph=True, step_cap=None, weights=False)
     p.add_argument("--models", default="exp1,unif01")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--target", help="comma-separated edge ids of the target arborescence")

@@ -92,12 +92,6 @@ class DirectedMultigraph:
     def n_edges(self) -> int:
         return len(self.tails)
 
-    def tail(self, e: EdgeId) -> VertexId:
-        return self.tails[e]
-
-    def head(self, e: EdgeId) -> VertexId:
-        return self.heads[e]
-
     def out_edges(self, v: VertexId) -> list[EdgeId]:
         return self._out[v]
 

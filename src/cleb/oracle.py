@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     PreconditionViolatedError,
     TieDetectedError,
     TooLargeError,
@@ -186,15 +187,25 @@ def _sample_weight_matrix(model: WeightModel, seed: int, rows: np.ndarray,
         f"Monte Carlo sampling needs a random model, got {model.spec}")
 
 
+# cells in one chunk's widest array (rows x max(edges, arborescences)):
+# about half a megabyte of doubles, so a chunk's temporaries stay in cache
+CHUNK_CELLS = 1 << 16
+
+
 def msa_distribution(graph: DirectedMultigraph, model: WeightModel, samples: int,
-                     seed: int, cap: int = 10_000_000, chunk: int = 200_000,
+                     seed: int, cap: int = 10_000_000,
                      tolerance: float = DEFAULT_TOLERANCE
                      ) -> tuple[InstanceDistributionReport, list[Arborescence]]:
     """Sample weights repeatedly and tally which arborescence wins.
 
-    Ties within tolerance are resampled with a derived sub-seed, so every
-    completed sample contributes exactly one cell.
+    Rows are drawn in chunks of about CHUNK_CELLS cells.  A row whose two
+    smallest totals are within tolerance is redrawn with a sub-seed
+    derived from the seed and the retry, keyed by its global row number, so
+    every completed sample contributes exactly one cell and the counts do
+    not depend on the chunk size.
     """
+    if samples < 1:
+        raise ConfigError(f"need at least one sample, not {samples}")
     arbs = enumerate_arborescences(graph, cap=cap)
     if not arbs:
         raise TooLargeError("instance has no spanning arborescence")
@@ -204,25 +215,30 @@ def msa_distribution(graph: DirectedMultigraph, model: WeightModel, samples: int
         for e in arb.outgoing.values():
             incidence[i, e] = 1.0
     counts = np.zeros(len(arbs), dtype=np.int64)
+    chunk = max(1, CHUNK_CELLS // max(m, len(arbs)))
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
         rows = np.arange(done, done + n, dtype=np.uint64)
-        weights = _sample_weight_matrix(model, seed, rows, m)
-        totals = weights @ incidence.T
+        totals = _sample_weight_matrix(model, seed, rows, m) @ incidence.T
+        winners = totals.argmin(axis=1)
         if len(arbs) > 1:
+            todo = np.arange(n)  # rows of this chunk whose latest draw is unchecked
             for retry in range(1, 6):
-                part = np.partition(totals, 1, axis=1)
-                gap = part[:, 1] - part[:, 0]
-                scale = np.maximum(1.0, np.abs(part[:, :2]).max(axis=1))
-                bad = np.nonzero(gap <= tolerance * scale)[0]
-                if bad.size == 0:
+                # the runner-up is the row minimum with the winner masked out
+                at = np.arange(len(todo))
+                best = totals[at, winners[todo]]
+                totals[at, winners[todo]] = np.inf
+                second = totals.min(axis=1)
+                scale = np.maximum(1.0, np.maximum(np.abs(best), np.abs(second)))
+                todo = todo[second - best <= tolerance * scale]
+                if todo.size == 0:
                     break
-                redraw = _sample_weight_matrix(model, mix64(seed ^ retry), rows[bad], m)
-                totals[bad] = redraw @ incidence.T
+                totals = _sample_weight_matrix(model, mix64(seed ^ retry), rows[todo],
+                                               m) @ incidence.T
+                winners[todo] = totals.argmin(axis=1)
             else:
                 raise TieDetectedError(0, 0, "persistent ties in Monte Carlo sampling")
-        winners = np.argmin(totals, axis=1)
         counts += np.bincount(winners, minlength=len(arbs))
         done += n
     cells = []

@@ -94,7 +94,7 @@ def _suite_oracle_equivalence(seed: int, fast: bool) -> SuiteResult:
 
 
 def _suite_color_invariance(seed: int, fast: bool) -> SuiteResult:
-    from .algorithms import colored_exposure_set, order_chooser, original_cleb, sequential_cleb
+    from .algorithms import order_chooser, original_cleb, sequential_cleb
     from .instances import random_instance
 
     n = 10 if fast else 100
@@ -102,14 +102,14 @@ def _suite_color_invariance(seed: int, fast: bool) -> SuiteResult:
     matches = 0
     for i in range(n):
         graph, assign = random_instance(derive(seed, "color", i))
-        reference = colored_exposure_set(original_cleb(graph, assign)[1])
+        reference = original_cleb(graph, assign)[1].colored_exposure_set()
         inner = [v for v in graph.vertices if v not in graph.boundary]
         rng = random.Random(derive(seed, "color-order", i))
         orders = [inner, inner[::-1], rng.sample(inner, len(inner))]
         sets = [reference]
         for order in orders:
-            sets.append(colored_exposure_set(
-                sequential_cleb(graph, assign, order_chooser(order))[1]))
+            sets.append(sequential_cleb(graph, assign, order_chooser(order))[1]
+                        .colored_exposure_set())
         same = len(set(sets)) == 1
         matches += 4 if same else sum(1 for s in sets if s == reference)
         rows.append({"instance": i, "runs": 4, "identical": same})

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import HIT_BOUNDARY, STEP_CAP, WalkRecord, _contracting_walk
+from .algorithms import HIT_BOUNDARY, WalkRecord, _contracting_walk
 from .errors import (
     ConfigError,
     PreconditionViolatedError,
@@ -138,9 +138,13 @@ def lcrw_escape_mc(tree: DirectedMultigraph, v: VertexId, trials: int,
 
     Specialized to glued trees: every loop is a backtrack into the previous
     path cluster, so the evolving graph is tracked as a path of clusters
-    with per-cluster tallies of boundary edges and unvisited subtrees.
+    with per-cluster tallies of boundary edges and unvisited subtrees.  The
+    top cluster lives in two locals; one uniform draw
+    ``int(rand() * (1 + boundary edges + subtrees))`` picks each step.
     Returns (estimate, stderr).
     """
+    if trials < 1:
+        raise ConfigError(f"need at least one trial, not {trials}")
     if v in tree.boundary:
         raise PreconditionViolatedError("start vertex is on the boundary")
     boundary = tree.boundary
@@ -169,9 +173,9 @@ def lcrw_escape_mc(tree: DirectedMultigraph, v: VertexId, trials: int,
             if y not in toward_v:
                 toward_v[y] = x
                 queue.append(y)
-    fresh_dang = {x: [c for c in nbrs[x] if c != toward_v[x]] for x in nbrs}
-    rng = random.Random(derive(seed, "escape", v))
-    rand = rng.random
+    # a fresh cluster: (boundary-edge tally, dangling subtree roots)
+    fresh = {x: (bnd_count[x], [c for c in nbrs[x] if c != toward_v[x]]) for x in nbrs}
+    rand = random.Random(derive(seed, "escape", v)).random
     hits = 0
     nbrs_v = nbrs[v]
     bnd_v = bnd_count[v]
@@ -182,38 +186,33 @@ def lcrw_escape_mc(tree: DirectedMultigraph, v: VertexId, trials: int,
         if r < bnd_v:
             hits += 1
             continue
-        first = nbrs_v[r - bnd_v]
-        # path of clusters beyond v: (boundary-edge tally, dangling subtree
-        # roots); each cluster keeps exactly one edge back to its
-        # predecessor, so every loop is a backtrack that dissolves the top
-        # cluster into the one below
-        stack_bnd = [bnd_count[first]]
-        stack_dang = [list(fresh_dang[first])]
-        escaped = None
-        while escaped is None:
-            nb = stack_bnd[-1]
-            dang = stack_dang[-1]
-            total = 1 + nb + len(dang)
-            r = int(rand() * total)
+        # path of clusters beyond v: the top one is (nb, dang), the ones
+        # under it are in `below`; each cluster keeps exactly one edge back
+        # to its predecessor, so every loop is a backtrack that dissolves
+        # the top cluster into the one below
+        nb, dang = fresh[nbrs_v[r - bnd_v]]
+        dang = dang[:]
+        below = []
+        while True:
+            r = int(rand() * (1 + nb + len(dang)))
             if r == 0:
-                if len(stack_bnd) == 1:
-                    escaped = False
-                else:
-                    stack_bnd[-2] += nb
-                    stack_dang[-2].extend(dang)
-                    stack_bnd.pop()
-                    stack_dang.pop()
+                if not below:
+                    break
+                under_nb, under = below.pop()
+                nb += under_nb
+                under.extend(dang)
+                dang = under
             elif r <= nb:
-                escaped = True
+                hits += 1
+                break
             else:
                 idx = r - 1 - nb
                 child = dang[idx]
                 dang[idx] = dang[-1]
                 dang.pop()
-                stack_bnd.append(bnd_count[child])
-                stack_dang.append(list(fresh_dang[child]))
-        if escaped:
-            hits += 1
+                below.append((nb, dang))
+                nb, dang = fresh[child]
+                dang = dang[:]
     p = hits / trials
     return p, math.sqrt(p * (1 - p) / trials)
 
@@ -238,65 +237,62 @@ def wilson_lerw(graph: DirectedMultigraph, conductances: WeightAssignment,
     """Loop-erased random walk from start to the boundary.
 
     Transition probabilities are proportional to the conductances over the
-    tail's outgoing edges.  Cycles are erased chronologically; the erased
-    set ignores multiplicity.  Raises StepCapReachedError past the cap.
+    tail's outgoing edges.  A vertex's transition table (running sums of
+    its out-edges' conductances, with their heads) is built on its first
+    visit, so a step is one lookup, one ``rand()`` and one bisection.
+    Cycles are erased chronologically; the erased set ignores multiplicity.
+    Raises StepCapReachedError past the cap.
     """
     stop = boundary if boundary is not None else set(graph.boundary)
-    rng = random.Random(derive(seed, "lerw"))
-    rand = rng.random
-    cumulative: dict[VertexId, tuple[list[float], list[EdgeId]]] = {}
-
-    def edge_from(x: VertexId) -> EdgeId:
-        entry = cumulative.get(x)
-        if entry is None:
-            out = graph.out_edges(x)
-            if not out:
-                raise PreconditionViolatedError(f"vertex {x} has no outgoing edge")
-            weights = []
-            acc = 0.0
-            for e in out:
-                acc += float(conductances.base(e))
-                weights.append(acc)
-            if acc <= 0.0:
-                raise PreconditionViolatedError(f"vertex {x} has zero total conductance")
-            entry = (weights, list(out))
-            cumulative[x] = entry
-        weights, out = entry
-        # searching weights[:-1] leaves the last edge when rand() * total
-        # rounds up to the total
-        return out[bisect_right(weights, rand() * weights[-1], 0, len(out) - 1)]
-
+    rand = random.Random(derive(seed, "lerw")).random
+    heads = graph.heads
+    # vertex -> (cumulative conductances, total, last index, out-edges, heads)
+    table: dict[VertexId, tuple[list[float], float, int, list[EdgeId], list[VertexId]]] = {}
     path: list[EdgeId] = []
     on_path: dict[VertexId, int] = {start: -1}
     erased_at: dict[EdgeId, int] = {}
     last_at_start = 0
     x = start
     for t in range(1, step_cap + 1):
-        e = edge_from(x)
-        h = graph.heads[e]
+        entry = table.get(x)
+        if entry is None:
+            out = graph.out_edges(x)
+            if not out:
+                raise PreconditionViolatedError(f"vertex {x} has no outgoing edge")
+            cum = []
+            acc = 0.0
+            for e in out:
+                acc += float(conductances.base(e))
+                cum.append(acc)
+            if acc <= 0.0:
+                raise PreconditionViolatedError(f"vertex {x} has zero total conductance")
+            entry = table[x] = (cum, acc, len(out) - 1, out, [heads[e] for e in out])
+        cum, total, last, out, out_heads = entry
+        # searching cum[:-1] leaves the last edge when rand() * total rounds
+        # up to the total
+        i = bisect_right(cum, rand() * total, 0, last)
+        e = out[i]
+        h = out_heads[i]
         if h in stop:
             path.append(e)
-            branch = list(path)
-            cut = last_at_start
-            erased = set(erased_at)
-            early = {edge for edge, when in erased_at.items() if when <= cut}
-            return LerwRun(branch=branch, erased=erased,
+            early = {edge for edge, when in erased_at.items() if when <= last_at_start}
+            return LerwRun(branch=path, erased=set(erased_at),
                            erased_before_leaving_start=early, steps=t)
         j = on_path.get(h)
         if j is None:
             path.append(e)
             on_path[h] = len(path) - 1
-            x = h
         else:
             for removed in path[j + 1:]:
-                erased_at.setdefault(removed, t)
-            erased_at.setdefault(e, t)
-            for edge in path[j + 1:]:
-                on_path.pop(graph.heads[edge], None)
+                if removed not in erased_at:
+                    erased_at[removed] = t
+                del on_path[heads[removed]]
+            if e not in erased_at:
+                erased_at[e] = t
             del path[j + 1:]
-            x = h
-        if x == start:
-            last_at_start = t
+            if j < 0:  # the loop closed at the start
+                last_at_start = t
+        x = h
     raise StepCapReachedError(f"loop-erased walk exceeded {step_cap} steps")
 
 
@@ -352,17 +348,20 @@ class SandwichResult:
 def wilson_sandwich_trial(graph: DirectedMultigraph, base_weights: dict[EdgeId, float],
                           start: VertexId, betas: Sequence[float], trials: int,
                           seed: int, step_cap: int = 100_000
-                          ) -> tuple[list[SandwichResult], ErasedEdgeReport]:
+                          ) -> tuple[list[SandwichResult], ErasedEdgeReport | None]:
     """Frequency, per beta, of the erased set landing between the two
     contraction sets of the deterministic walk on the same weights.
 
     Capped runs count as failures.  Also returns one representative report
-    (largest beta, first trial) for inspection.  Each beta's random streams
-    are keyed by ``int(beta * 1000)``, so betas sharing that key in one call
-    are a ConfigError.
+    (first beta, first uncapped trial) for inspection, or None when every
+    trial capped.  Each beta's random streams are keyed by
+    ``int(beta * 1000)``, so betas sharing that key in one call are a
+    ConfigError, as is a trial count below one.
     """
     from .weights import BoltzmannConductance, Fixed
 
+    if trials < 1:
+        raise ConfigError(f"need at least one trial, not {trials}")
     keys = [int(beta * 1000) for beta in betas]
     if len(set(keys)) < len(keys):
         raise ConfigError(f"betas {list(betas)} share random streams "
@@ -391,41 +390,7 @@ def wilson_sandwich_trial(graph: DirectedMultigraph, base_weights: dict[EdgeId, 
                 sample_report = ErasedEdgeReport(erased=erased, cleb_cycle_edges=lower,
                                                  cleb_removed_edges=upper, sandwiched=good)
         results.append(SandwichResult(beta=beta, trials=trials, successes=ok, capped=capped))
-    assert sample_report is not None
     return results, sample_report
-
-
-# -- distributional comparison of the two walk laws ----------------------
-
-
-def lcrw_equals_cleb_check(graph: DirectedMultigraph, start: VertexId, trials: int,
-                           seed: int, step_cap: int = 10_000
-                           ) -> tuple[float, float, int]:
-    """Total-variation distance between exposed-edge-sequence laws.
-
-    Runs the uniform loop-contracting walk and the contracting walk under
-    fresh Exponential(1) weights `trials` times each and compares the
-    empirical distributions of the full exposed-edge sequence.  Returns
-    (tv, stderr_scale, support); the natural pass bound is
-    tv <= 3 * stderr_scale.
-    """
-    from .algorithms import cleb_walk
-    from .weights import Exponential
-
-    counts_l: dict[tuple, int] = {}
-    counts_c: dict[tuple, int] = {}
-    for i in range(trials):
-        trace, _ = lcrw_run(graph, start, step_cap, derive(seed, "tv-l", i))
-        key = tuple(trace.exposed)
-        counts_l[key] = counts_l.get(key, 0) + 1
-        assign = WeightAssignment(Exponential(1.0), derive(seed, "tv-c", i))
-        rec = cleb_walk(graph, assign, start, step_cap=step_cap)
-        key = tuple(rec.exposed)
-        counts_c[key] = counts_c.get(key, 0) + 1
-    support = set(counts_l) | set(counts_c)
-    tv = 0.5 * sum(abs(counts_l.get(k, 0) - counts_c.get(k, 0)) / trials for k in support)
-    stderr_scale = math.sqrt(len(support) / trials)
-    return tv, stderr_scale, len(support)
 
 
 # -- invasion percolation -------------------------------------------------

@@ -10,7 +10,6 @@ from cleb.algorithms import (
     STEP_CAP,
     cleb_walk,
     cleb_walk_algorithm,
-    colored_exposure_set,
     connectivity_profile,
     order_chooser,
     original_cleb,
@@ -91,16 +90,16 @@ def test_disconnected_instance_detected():
 def test_colored_sets_match_across_variants():
     for i in range(40):
         g, assign = random_instance(derive(9003, i))
-        ref = colored_exposure_set(original_cleb(g, assign)[1])
+        ref = original_cleb(g, assign)[1].colored_exposure_set()
         inner = [v for v in g.vertices if v not in g.boundary]
         arb, log = sequential_cleb(g, assign, order_chooser(inner[::-1]))
-        assert colored_exposure_set(log) == ref
+        assert log.colored_exposure_set() == ref
 
 
 def test_tree_shaped_instance_all_color_one():
     g = build_graph([0, 1, 2, 3], [0], [(1, 0), (2, 1), (3, 1)])
     _, log = original_cleb(g, fixed(g, {0: 1, 1: 2, 2: 3}))
-    assert colored_exposure_set(log) == {(0, 1), (1, 1), (2, 1)}
+    assert log.colored_exposure_set() == {(0, 1), (1, 1), (2, 1)}
 
 
 def test_contraction_raises_color_level():

@@ -309,3 +309,42 @@ def test_wilson_sandwich_rejects_betas_sharing_a_stream(capsys):
                 "--start", "1", "--betas", "0.0001,0.0002", "--trials", "5"])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_wilson_sandwich_honours_the_step_cap(capsys):
+    code = run(["wilson-sandwich", "--graph", "fixture:sandwich_bounce", "--start", "1",
+                "--betas", "20", "--trials", "3", "--step-cap", "5"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1] == "20.0,3,0.0,0.0,3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["wilson-sandwich", "--graph", "fixture:sandwich_bounce", "--start", "1", "--trials", "0"],
+    ["wilson-sandwich", "--graph", "fixture:sandwich_bounce", "--start", "1", "--trials", "-3"],
+    ["dist-compare", "--graph", "fixture:distribution_gap", "--samples", "0"],
+    ["dist-compare", "--graph", "fixture:distribution_gap", "--samples", "-5"],
+])
+def test_monte_carlo_counts_below_one_are_config_errors(argv, capsys, monkeypatch):
+    import cleb.oracle
+    import cleb.walks
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("walked or drew before rejecting the count")
+
+    monkeypatch.setattr(cleb.walks, "first_epoch_contraction_sets", no_work)
+    monkeypatch.setattr(cleb.oracle, "enumerate_arborescences", no_work)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist-compare", "--graph", "fixture:distribution_gap", "--weights", "exp1"],
+    ["dist-compare", "--graph", "fixture:distribution_gap", "--step-cap", "3"],
+    ["invasion-check", "--graph", "fixture:symmetric_demo", "--start", "1", "--step-cap", "1"],
+    ["lcrw", "--graph", "fixture:symmetric_demo", "--start", "1", "--weights", "exp1"],
+])
+def test_flags_a_command_would_ignore_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2

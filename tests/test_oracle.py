@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cleb import oracle
 from cleb.errors import PreconditionViolatedError, TooLargeError
 from cleb.graph import Arborescence, build_graph
 from cleb.instances import eligible_perturbation, load_fixture, load_fixture_meta, random_instance
@@ -130,3 +131,60 @@ def test_perturb_batches_match():
             out = perturb_and_verify(g, assign, v, e1, e2, mode,
                                      jitter_seed=derive(809, i))
             assert out.matched, (mode, i)
+
+
+# -- exactness pins of the law sampler (recorded before chunks were sized
+# by cells and ties were found from argmin)
+
+LAW_COUNTS = {
+    "exp1": [11191, 8290, 8259, 11089, 11257, 11036, 8366, 8241, 11175, 11099],
+    "unif01": [11593, 8473, 8301, 10813, 10853, 11606, 8385, 8342, 10656, 10981],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LAW_COUNTS))
+def test_law_counts_are_pinned(spec):
+    graph, _ = load_fixture("distribution_gap")
+    model = Exponential(1.0) if spec == "exp1" else Uniform01()
+    report, _ = msa_distribution(graph, model, 100_003, derive(2104, spec))
+    assert [c.count for c in report.cells] == LAW_COUNTS[spec]
+
+
+def _tie_first_draws(monkeypatch, seed):
+    """Copy edge 3's weight onto edge 4 (both leave vertex 2) in the
+    draws under the call's own seed, so many rows tie exactly; the
+    redraws under derived seeds stay untouched."""
+    real = oracle._sample_weight_matrix
+
+    def tied(model, s, rows, n_edges):
+        weights = real(model, s, rows, n_edges)
+        if s == seed:
+            weights[:, 4] = weights[:, 3]
+        return weights
+
+    monkeypatch.setattr(oracle, "_sample_weight_matrix", tied)
+
+
+TIED_COUNTS = [1321, 256, 279, 356, 350, 1263, 273, 241, 309, 352]
+
+
+def test_forced_ties_are_redrawn_by_global_row(monkeypatch):
+    graph, _ = load_fixture("distribution_gap")
+    assert graph.tails[3] == graph.tails[4] == 2
+    seed = derive(2105)
+    _tie_first_draws(monkeypatch, seed)
+    for cells in (10, 70, 4096, 1 << 16):  # 1, 7, 409 and all 5,000 rows per chunk
+        monkeypatch.setattr(oracle, "CHUNK_CELLS", cells)
+        report, _ = msa_distribution(graph, Exponential(1.0), 5000, seed)
+        assert [c.count for c in report.cells] == TIED_COUNTS
+
+
+def test_law_counts_do_not_depend_on_the_chunk_size(monkeypatch):
+    graph, _ = load_fixture("distribution_gap")
+    width = max(graph.n_edges, len(enumerate_arborescences(graph)))
+    counts = []
+    for rows in (1, 7, 4096, 3001):  # the last is one chunk of all rows
+        monkeypatch.setattr(oracle, "CHUNK_CELLS", rows * width)
+        report, _ = msa_distribution(graph, Uniform01(), 3001, 2106)
+        counts.append([c.count for c in report.cells])
+    assert counts[1:] == counts[:1] * 3

@@ -1,8 +1,11 @@
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
+from cleb.algorithms import cleb_walk
 from cleb.errors import ConfigError, PreconditionViolatedError, TieDetectedError
 from cleb.graph import build_graph, future_edges
 from cleb.instances import random_symmetric_instance
@@ -15,14 +18,13 @@ from cleb.walks import (
     invasion_equivalence_check,
     invasion_percolation,
     kruskal_mst,
-    lcrw_equals_cleb_check,
     lcrw_escape_mc,
     lcrw_run,
     srw_escape_exact,
     wilson_lerw,
     wilson_sandwich_trial,
 )
-from cleb.weights import BoltzmannConductance, Fixed, WeightAssignment
+from cleb.weights import BoltzmannConductance, Exponential, Fixed, WeightAssignment
 
 
 def bidirected(vertices, boundary, undirected, weights=None):
@@ -78,6 +80,31 @@ def test_lcrw_triangle_against_enumerated_chain():
             expect = (1 / deg[1]) * (1 / deg[g.heads[first]])
         p = c / n
         assert abs(p - expect) < 4 * math.sqrt(expect * (1 - expect) / n)
+
+
+def lcrw_equals_cleb_check(graph, start, trials, seed, step_cap=10_000):
+    """Total-variation distance between exposed-edge-sequence laws.
+
+    Runs the uniform loop-contracting walk and the contracting walk under
+    fresh Exponential(1) weights `trials` times each and compares the
+    empirical distributions of the full exposed-edge sequence.  Returns
+    (tv, stderr_scale, support); the natural pass bound is
+    tv <= 3 * stderr_scale.
+    """
+    counts_l = {}
+    counts_c = {}
+    for i in range(trials):
+        trace, _ = lcrw_run(graph, start, step_cap, derive(seed, "tv-l", i))
+        key = tuple(trace.exposed)
+        counts_l[key] = counts_l.get(key, 0) + 1
+        assign = WeightAssignment(Exponential(1.0), derive(seed, "tv-c", i))
+        rec = cleb_walk(graph, assign, start, step_cap=step_cap)
+        key = tuple(rec.exposed)
+        counts_c[key] = counts_c.get(key, 0) + 1
+    support = set(counts_l) | set(counts_c)
+    tv = 0.5 * sum(abs(counts_l.get(k, 0) - counts_c.get(k, 0)) / trials for k in support)
+    stderr_scale = math.sqrt(len(support) / trials)
+    return tv, stderr_scale, len(support)
 
 
 def test_lcrw_law_matches_contracting_walk():
@@ -299,3 +326,155 @@ def test_sandwich_betas_sharing_a_stream_key_are_rejected():
         wilson_sandwich_trial(g, weights, 1, [2.0, 2.0004], 3, 1)
     results, _ = wilson_sandwich_trial(g, weights, 1, [2.0, 2.5], 3, 1)
     assert [r.beta for r in results] == [2.0, 2.5]
+
+
+# -- exactness pins: every random stream and draw rule of the kernels ----
+# (recorded before the kernels' inner loops were rewritten)
+
+
+def _lerw_digest(graph, cond, start, seed, boundary=None):
+    h = hashlib.sha256()
+    for i in range(200):
+        run = wilson_lerw(graph, cond, start, derive(seed, i), boundary=boundary)
+        h.update(repr((run.branch, sorted(run.erased),
+                       sorted(run.erased_before_leaving_start), run.steps)).encode())
+    return h.hexdigest()[:16]
+
+
+LERW_SHA256 = {
+    ("sandwich_bounce", 2): "1d07dc388b02a2bd",
+    ("sandwich_bounce", 20): "8baabf9c4204fb00",
+    ("sandwich_triangle", 2): "e3e1de7c75c50ed3",
+    ("sandwich_triangle", 20): "53a74d1f89b8db06",
+    ("sandwich_two_stage", 2): "5a51039253b6ec54",
+    ("sandwich_two_stage", 20): "27300559ed49cf84",
+    ("sandwich_nested", 2): "4132b6c784de8074",
+    ("sandwich_nested", 20): "cbac3a79b5f08666",
+    ("sandwich_parallel", 2): "3e123ecb6fa4006b",
+    ("sandwich_parallel", 20): "556483f09dcd9f08",
+    ("strict_sandwich", 2): "e50b03b13cdb1dd8",
+    ("strict_sandwich", 20): "1ff3b407dd9febed",
+}
+
+
+@pytest.mark.parametrize("name,beta", sorted(LERW_SHA256))
+def test_lerw_runs_are_pinned(name, beta):
+    from cleb.instances import load_fixture, load_fixture_meta
+
+    graph, weights = load_fixture(name)
+    start = load_fixture_meta(name)["start"]
+    cond = WeightAssignment(BoltzmannConductance(weights, float(beta)), 0)
+    assert _lerw_digest(graph, cond, start, derive(2101, name, beta)) == LERW_SHA256[name, beta]
+
+
+def test_lerw_runs_on_a_lattice_box_with_an_extra_stop_vertex_are_pinned():
+    from cleb.families import LatticeBox
+
+    family = LatticeBox(2)
+    real = family.realize(3)
+    graph = real.graph
+    origin = family.origin(real)
+    stop = set(graph.boundary) | {origin + 2}
+    digest = _lerw_digest(graph, in_tree_conductances(graph), origin, 2102, boundary=stop)
+    assert digest == "6a41cc1b11ede648"
+
+
+ESCAPE_SHA256 = {
+    "depth1-binary": "87f0d5c5afd68668",
+    "depth1-ternary": "87f0d5c5afd68668",
+    "depth2-binary": "018cb30a1cb73fee",
+    "depth2-ternary": "e12d42933de3b325",
+    "depth3-binary": "5b9949254c7715ac",
+    "depth3-ternary": "291447685f23f6d4",
+    "depth4-binary": "cf4e371966aaff9d",
+    "depth4-ternary": "3ce04872b68ef9bb",
+    "depth3-mixed-232": "5d25bc2d9a72a8ff",
+    "depth4-mixed-3223": "88da6821b9751e32",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESCAPE_SHA256))
+def test_escape_estimates_are_pinned(name):
+    from cleb.instances import glued_tree_fixtures
+
+    tree = dict(glued_tree_fixtures())[name]
+    out = [lcrw_escape_mc(tree, v, 5000, derive(2103, name, v, s))
+           for v in tree.vertices if v not in tree.boundary for s in (1, 2)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest()[:16] == ESCAPE_SHA256[name]
+
+
+# -- the loop-erased walk's branch against its exact law -----------------
+
+
+def lerw_branch_law(graph, conductances, start):
+    """Exact law of the loop-erased branch from start to the boundary.
+
+    Lawler's formula, which holds for any Markov chain: the branch
+    e_1 ... e_k through x_0 ... x_{k-1} has probability
+    prod p(e_i) * prod G_{A_i}(x_i, x_i), where A_i is the set of inner
+    vertices other than x_0 ... x_{i-1} and G_A = (I - P_A)^-1.  p(e) is
+    the edge's conductance over its tail's total, so parallel edges count
+    apart.  Enumerates every self-avoiding edge path into the boundary.
+    """
+    inner = [v for v in graph.vertices if v not in graph.boundary]
+    index = {v: i for i, v in enumerate(inner)}
+    prob = {}
+    step = np.zeros((len(inner), len(inner)))
+    for v in inner:
+        out = graph.out_edges(v)
+        total = sum(float(conductances.base(e)) for e in out)
+        for e in out:
+            prob[e] = float(conductances.base(e)) / total
+            if graph.heads[e] in index:
+                step[index[v], index[graph.heads[e]]] += prob[e]
+    law = {}
+
+    def extend(x, visited, edges, weight):
+        keep = [index[v] for v in inner if v not in visited]
+        green = np.linalg.inv(np.eye(len(keep)) - step[np.ix_(keep, keep)])
+        at = keep.index(index[x])
+        weight *= green[at, at]
+        for e in graph.out_edges(x):
+            h = graph.heads[e]
+            if h in graph.boundary:
+                law[tuple(edges + [e])] = weight * prob[e]
+            elif h != x and h not in visited:
+                extend(h, visited | {x}, edges + [e], weight * prob[e])
+
+    extend(start, frozenset(), [], 1.0)
+    return law
+
+
+def _lerw_law_cases():
+    from cleb.families import LatticeBox
+    from cleb.instances import load_fixture, load_fixture_meta
+    from cleb.util import u01
+
+    for name in ("sandwich_bounce", "sandwich_triangle"):
+        graph, weights = load_fixture(name)
+        start = load_fixture_meta(name)["start"]
+        for beta in (2.0, 5.0):
+            yield (f"{name}@{beta}", graph,
+                   WeightAssignment(BoltzmannConductance(weights, beta), 0), start)
+    family = LatticeBox(2)
+    real = family.realize(1)
+    weights = {e: u01(2107, e) for e in range(real.graph.n_edges)}
+    yield ("lattice:2 r=1", real.graph,
+           WeightAssignment(BoltzmannConductance(weights, 2.0), 0), family.origin(real))
+
+
+def test_lerw_branches_follow_lawlers_formula():
+    n = 10_000
+    for label, graph, cond, start in _lerw_law_cases():
+        law = lerw_branch_law(graph, cond, start)
+        assert abs(sum(law.values()) - 1.0) <= 1e-12, label
+        counts = {}
+        for i in range(n):
+            branch = tuple(wilson_lerw(graph, cond, start, derive(2108, label, i)).branch)
+            counts[branch] = counts.get(branch, 0) + 1
+        assert set(counts) <= set(law), label
+        tv = 0.5 * sum(abs(counts.get(b, 0) / n - p) for b, p in law.items())
+        assert tv <= 0.03, (label, tv)
+        for b, p in law.items():
+            if p >= 0.01:
+                assert abs(counts.get(b, 0) / n - p) <= 4 * math.sqrt(p * (1 - p) / n), (label, b)
