@@ -4,7 +4,6 @@ from .algorithms import (
     cleb_walk,
     cleb_walk_algorithm,
     connectivity_profile,
-    order_chooser,
     original_cleb,
     recover_branch,
     sequential_cleb,
@@ -50,7 +49,6 @@ __all__ = [
     "lcrw_run",
     "min_out_subtract",
     "msa_event_probability",
-    "order_chooser",
     "original_cleb",
     "recover_branch",
     "sample_weights",

@@ -1,11 +1,16 @@
 """Cycle-contracting computation of minimal spanning arborescences.
 
-Three front-ends share one engine:
+The front-ends differ only in the order in which they reveal; the
+arborescence and the colored exposed set are the same for every order.
+Two of them share one step (:meth:`_Exposure.settle`): reveal a vertex,
+and while that closes a cycle of exposed edges, contract it and reveal
+the new supervertex.
 
 * :func:`original_cleb` reveals every vertex's cheapest outgoing edge at
-  once, then repeatedly contracts zero-weight cycles;
-* :func:`sequential_cleb` reveals one vertex at a time in any caller-chosen
-  order, contracting a cycle the moment one closes;
+  once, contracts the disjoint cycles this closes in one pass, and then
+  settles each new supervertex;
+* :func:`sequential_cleb` settles the vertices of a caller-given order
+  one at a time;
 * :func:`cleb_walk` is the sequential variant whose next vertex is always
   the head of the last exposed edge (or the freshly contracted vertex),
   and :func:`cleb_walk_algorithm` chains such walks over a growing
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .errors import (
@@ -42,6 +48,7 @@ from .graph import (
     DirectedMultigraph,
     EdgeId,
     VertexId,
+    functional_cycles,
     meet_vertex,
     uncontract,
 )
@@ -132,6 +139,16 @@ class _Exposure:
             x = stack.head(nxt)
         return chain
 
+    def settle(self, v: VertexId) -> None:
+        """Reveal v; while that closes a cycle, contract it and reveal the
+        new supervertex.  Exposed edges that held no cycle hold none after."""
+        while True:
+            step = self.reveal(v)
+            cycle = self.cycle_through(step.edge, v)
+            if cycle is None:
+                return
+            v = self.contract(cycle, step).supervertex
+
     def terminal_arborescence(self) -> Arborescence:
         """Exposed live edges, one per live non-boundary supervertex."""
         stack = self.stack
@@ -156,11 +173,15 @@ def _unwind(stack: ContractionStack, arb: Arborescence) -> Arborescence:
 
 def original_cleb(graph: DirectedMultigraph, assign: WeightAssignment
                   ) -> tuple[Arborescence, ExposureLog]:
-    """Reveal all minima at once, then contract zero-weight cycles until none.
+    """Reveal all minima at once, contract the cycles, then settle the rest.
 
-    Returns the minimal spanning arborescence together with the exposure
-    log.  Raises DisconnectedError when some vertex cannot reach the
-    boundary, TieDetectedError on a genericity failure.
+    The first reveals form a functional graph whose cycles are disjoint;
+    each is contracted on the step of its last-exposed edge.  Each new
+    supervertex is then settled in turn: with those cycles gone, a cycle
+    can only close through the vertex just revealed.  Returns the minimal
+    spanning arborescence together with the exposure log.  Raises
+    DisconnectedError when some vertex cannot reach the boundary,
+    TieDetectedError on a genericity failure.
     """
     assign.sample_all(graph.n_edges)
     stack = ContractionStack(graph)
@@ -169,125 +190,39 @@ def original_cleb(graph: DirectedMultigraph, assign: WeightAssignment
         for v in graph.vertices:
             if v not in graph.boundary:
                 exp.reveal(v)
-        while True:
-            cycle = _zero_cycle(exp)
-            if cycle is None:
-                break
-            record = exp.contract(cycle, _last_step_of(exp, cycle))
-            exp.reveal(record.supervertex)
+        step_of = {s.edge: s for s in exp.log.steps}
+        cycles = list(functional_cycles(exp.exposed_out, graph.heads.__getitem__))
+        records = [exp.contract(cycle, max(map(step_of.get, cycle), key=attrgetter("step")))
+                   for cycle in cycles]
+        for record in records:
+            exp.settle(record.supervertex)
     except NoOutgoingEdgeError as err:
         raise DisconnectedError(str(err)) from err
     arb = exp.terminal_arborescence()
     return _unwind(stack, arb), exp.log
 
 
-def _last_step_of(exp: _Exposure, cycle: Sequence[EdgeId]) -> ExposureStep:
-    cycle_set = set(cycle)
-    for step in reversed(exp.log.steps):
-        if step.edge in cycle_set:
-            return step
-    raise AssertionError("cycle edges must have been exposed")
-
-
-def _zero_cycle(exp: _Exposure) -> list[EdgeId] | None:
-    """Cycle among exposed live edges through the lowest-numbered supervertex.
-
-    Exposed live edges form a functional graph (one outgoing edge per
-    revealed supervertex), so each component carries at most one cycle;
-    picking the cycle with the smallest member keeps runs reproducible.
-    """
-    stack = exp.stack
-    exposed = exp.exposed_out
-    state: dict[VertexId, int] = {}
-    best: list[VertexId] | None = None
-    for start in sorted(exposed):
-        if state.get(start):
-            continue
-        path: list[VertexId] = []
-        index: dict[VertexId, int] = {}
-        x = start
-        while x in exposed and state.get(x) is None:
-            state[x] = 1
-            index[x] = len(path)
-            path.append(x)
-            x = stack.head(exposed[x])
-        if state.get(x) == 1:
-            cycle_vertices = path[index[x]:]
-            if best is None or min(cycle_vertices) < min(best):
-                best = cycle_vertices
-        for y in path:
-            state[y] = 2
-    if best is None:
-        return None
-    anchor = best.index(min(best))
-    ordered = best[anchor:] + best[:anchor]
-    return [exposed[v] for v in ordered]
-
-
-Chooser = Callable[["_Exposure"], "VertexId | None"]
-
-
-def order_chooser(order: Sequence[VertexId]) -> Chooser:
-    """Chooser revealing supervertices by their earliest member in `order`.
-
-    Always returns a live, unrevealed, non-boundary supervertex (or None
-    once every live supervertex is revealed), so it is valid on any
-    instance.  A supervertex with no member in `order` is never returned.
-    A heap keyed by each supervertex's first position in `order` makes a
-    call O(log n): a contraction pushes its supervertex at the smallest
-    key of its members, and entries that surface revealed or dead are
-    dropped.  The heap belongs to one stack and restarts on another.
-    """
-    import heapq  # here, so that solves without a chooser do not load it
-
-    order = list(order)
-    state: dict = {}
-
-    def choose(exp: _Exposure) -> VertexId | None:
-        stack, records = exp.stack, exp.stack.records
-        if state.get("stack") is not stack:
-            key: dict[VertexId, int] = {}
-            for i, x in enumerate(order):
-                if x in stack.base._vset and x not in stack.base.boundary:
-                    key.setdefault(x, i)
-            state.update(stack=stack, key=key, heap=sorted((i, x) for x, i in key.items()),
-                         seen=0)
-        key, heap = state["key"], state["heap"]
-        for record in records[state["seen"]:]:
-            keys = [key[m] for m in record.members if m in key]
-            if keys:
-                key[record.supervertex] = first = min(keys)
-                heapq.heappush(heap, (first, record.supervertex))
-        state["seen"] = len(records)
-        while heap and (heap[0][1] in exp.exposed_out or not stack.is_live_vertex(heap[0][1])):
-            heapq.heappop(heap)
-        return heap[0][1] if heap else None
-
-    return choose
-
-
 def sequential_cleb(graph: DirectedMultigraph, assign: WeightAssignment,
-                    chooser: Chooser) -> tuple[Arborescence, ExposureLog]:
-    """One-vertex-at-a-time revelation under a caller-supplied chooser.
+                    order: Sequence[VertexId]) -> tuple[Arborescence, ExposureLog]:
+    """Settle the supervertices of `order`'s entries one at a time.
 
-    The resulting arborescence is the same for every valid chooser, and so
-    is the colored exposed set.
+    Entries that are not graph vertices, are boundary vertices, or resolve
+    to an already revealed supervertex are skipped, so a supervertex is
+    revealed at its earliest member in `order`; one with no member there
+    is never revealed.  The resulting arborescence is the same for every
+    order that covers the inner vertices, and so is the colored exposed
+    set.
     """
     assign.sample_all(graph.n_edges)
     stack = ContractionStack(graph)
     exp = _Exposure(stack, assign)
-    boundary = {stack.resolve(b) for b in graph.boundary}
+    vertices, boundary = graph._vset, graph.boundary
     try:
-        while True:
-            v = chooser(exp)
-            if v is None:
-                break
-            if v in exp.exposed_out or not stack.is_live_vertex(v) or v in boundary:
-                raise BadChooserError(f"chooser returned unusable vertex {v}")
-            step = exp.reveal(v)
-            cycle = exp.cycle_through(step.edge, v)
-            if cycle is not None:
-                exp.contract(cycle, step)
+        for x in order:
+            if x in vertices and x not in boundary:
+                v = stack.resolve(x)
+                if v not in exp.exposed_out:
+                    exp.settle(v)
     except NoOutgoingEdgeError as err:
         raise DisconnectedError(str(err)) from err
     arb = exp.terminal_arborescence()

@@ -334,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the stochastic processes around them.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=False, start=False, step_cap=1_000_000, weights=True):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, graph=False, start=False, step_cap=1_000_000, weights=True, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if step_cap:
             p.add_argument("--step-cap", type=int, default=step_cap)
         p.add_argument("--out")
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_wilson_sandwich)
 
     p = sub.add_parser("invasion-check", help="walk prefixes versus invasion order")
-    common(p, graph=True, start=True, step_cap=None)
+    common(p, graph=True, start=True, step_cap=None, seed=False)
     p.set_defaults(fn=_cmd_invasion_check)
 
     p = sub.add_parser("dist-compare", help="arborescence law under different weight models")

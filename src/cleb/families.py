@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, PreconditionViolatedError, TooLargeError
-from .graph import Arborescence, DirectedMultigraph, EdgeId, VertexId, build_graph
+from .graph import DirectedMultigraph, EdgeId, VertexId, build_graph
 from .util import u01
 from .weights import WeightAssignment, WeightModel
 
@@ -480,54 +480,3 @@ def transience_trace(family: GraphFamily, radius: int, start: VertexId,
                                 terminal=trace.terminal)
     return trace, summary, positions
 
-
-@dataclass
-class ComponentStats:
-    size: int
-    unmerged_tips: int
-
-
-def component_end_stats(graph: DirectedMultigraph, arb: Arborescence) -> list[ComponentStats]:
-    """Descriptive component statistics of a spanning arborescence.
-
-    Components are classes of vertices whose futures merge before the
-    boundary; ``unmerged_tips`` counts vertices whose path to the boundary
-    is joined by no other branch (every interior vertex has a single
-    incoming arborescence edge), a finite-volume stand-in for counting
-    rays.
-    """
-    heads = graph.heads
-    parent: dict[VertexId, VertexId] = {}
-
-    def find(x: VertexId) -> VertexId:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for v, e in arb.outgoing.items():
-        h = heads[e]
-        if h not in graph.boundary:
-            a, b = find(v), find(h)
-            if a != b:
-                parent[a] = b
-    indeg: dict[VertexId, int] = {}
-    for e in arb.outgoing.values():
-        h = heads[e]
-        indeg[h] = indeg.get(h, 0) + 1
-    comp_size: dict[VertexId, int] = {}
-    comp_tips: dict[VertexId, int] = {}
-    for v in arb.outgoing:
-        root = find(v)
-        comp_size[root] = comp_size.get(root, 0) + 1
-        x = heads[arb.outgoing[v]]
-        clean = True
-        while x not in graph.boundary:
-            if indeg.get(x, 0) != 1:
-                clean = False
-                break
-            x = heads[arb.outgoing[x]]
-        if clean:
-            comp_tips[root] = comp_tips.get(root, 0) + 1
-    return sorted((ComponentStats(size=comp_size[r], unmerged_tips=comp_tips.get(r, 0))
-                   for r in comp_size), key=lambda c: (-c.size, c.unmerged_tips))

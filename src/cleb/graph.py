@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateEdgeIdError,
@@ -174,6 +174,10 @@ class ContractionStack:
     appends it to the larger one's list; ``pop`` truncates that list and
     relabels back.  The union tree (``_parent``) is kept only for the
     absorbed roots, whose offsets ``potential`` sums along the lineage.
+    Liveness is read from these maps: a base vertex is live iff it is
+    neither absorbed (in ``_root``) nor a merged class's root (in
+    ``_label``), and the live supervertices are exactly ``_label``'s
+    values, whose order as integers is their creation order.
 
     Each class root stores exactly the live out-edges of its supervertex.
     Construction is lazy: a root reads the base graph's out-list until a
@@ -201,10 +205,6 @@ class ContractionStack:
         # the root in charge of a merged class.  Absorbed roots keep theirs
         # for pop.
         self._out: dict[int, list[EdgeId]] = {}
-        # liveness: base vertices absorbed into some supervertex, plus the
-        # live supervertex labels in creation order
-        self._absorbed: set[VertexId] = set()
-        self._live_labels: dict[VertexId, None] = {}
         self.records: list[ContractionRecord] = []
         # (unions, root, old_label, n_kept, dropped) per record
         self._undo: list[tuple] = []
@@ -228,13 +228,12 @@ class ContractionStack:
         t, h = self.base.tails[e], self.base.heads[e]
         return self._root.get(t, t) == self._root.get(h, h)
 
-    def is_live_vertex(self, v: VertexId) -> bool:
-        return v in self._live_labels or (v in self.base._vset and v not in self._absorbed)
-
     def live_vertices(self) -> list[VertexId]:
-        """Unabsorbed base vertices in base order, then live supervertices."""
-        absorbed = self._absorbed
-        return [v for v in self.base.vertices if v not in absorbed] + list(self._live_labels)
+        """Unabsorbed base vertices in base order, then live supervertices
+        in creation order."""
+        root, label = self._root, self._label
+        return ([v for v in self.base.vertices if v not in root and v not in label]
+                + sorted(label.values()))
 
     def out_edges(self, v: VertexId) -> list[EdgeId]:
         """Live outgoing edges of a live supervertex.
@@ -347,13 +346,6 @@ class ContractionStack:
         old_label = self._label.get(root)
         self._label[root] = label
 
-        for t in tails:
-            if t in self._live_labels:
-                del self._live_labels[t]
-            else:
-                self._absorbed.add(t)
-        self._live_labels[label] = None
-
         record = ContractionRecord(cycle, tuple(tails), label, tuple(removed))
         self.records.append(record)
         self._undo.append((unions, root, old_label, n_kept, dropped))
@@ -380,10 +372,10 @@ class ContractionStack:
     def pop(self) -> ContractionRecord:
         """Undo the most recent contraction, restoring the previous view.
 
-        Structure (membership, liveness, out-lists) is restored exactly:
-        the surviving root's list is cut back to its own survivors and its
-        dead edges go back to their places.  Potentials revert to their
-        values at contraction time for the separated classes.  The backward
+        Membership, and with it liveness, and the out-lists are restored
+        exactly: the surviving root's list is cut back to its own survivors
+        and its dead edges go back to their places.  Potentials revert to
+        their values at contraction time for the separated classes.  The backward
         pass never consults weights, so interleaving pops with further
         subtraction is unsupported.
         """
@@ -424,12 +416,6 @@ class ContractionStack:
             del out[n_kept:]
             for k, e in zip(dropped, record.removed):
                 out.insert(k, e)
-        del self._live_labels[record.supervertex]
-        for t in record.members:
-            if t in self._absorbed:
-                self._absorbed.remove(t)
-            else:
-                self._live_labels[t] = None
         return record
 
 
@@ -480,7 +466,7 @@ def validate_view_arborescence(stack: ContractionStack, arb: Arborescence) -> Ve
             v.problems.append(f"boundary vertex {vertex} has an outgoing edge")
         elif vertex not in boundary and not has:
             v.problems.append(f"vertex {vertex} lacks an outgoing edge")
-    if not v.problems and _find_cycle_in_map(arb.outgoing, lambda e: stack.head(e)):
+    if not v.problems and next(functional_cycles(arb.outgoing, stack.head), None):
         v.problems.append("outgoing map contains a cycle")
     return v
 
@@ -505,12 +491,18 @@ def validate_arborescence(graph: DirectedMultigraph, arb: Arborescence,
                 v.problems.append(f"boundary vertex {vertex} has an outgoing edge")
             elif vertex not in graph.boundary and not has:
                 v.problems.append(f"vertex {vertex} lacks an outgoing edge")
-    if not v.problems and _find_cycle_in_map(arb.outgoing, lambda e: graph.heads[e]):
+    if not v.problems and next(functional_cycles(arb.outgoing, graph.heads.__getitem__), None):
         v.problems.append("outgoing map contains a cycle")
     return v
 
 
-def _find_cycle_in_map(outgoing: dict[VertexId, EdgeId], head_of) -> bool:
+def functional_cycles(outgoing: dict[VertexId, EdgeId], head_of) -> Iterator[list[EdgeId]]:
+    """Yield each cycle of the map vertex -> outgoing edge, as its edges in order.
+
+    Each component of a functional graph carries at most one cycle, so
+    the cycles are disjoint; they come in the map's order of first visit.
+    Consume the generator before changing ``outgoing``.
+    """
     state: dict[VertexId, int] = {}  # 1 = on current walk, 2 = done
     for start in outgoing:
         if state.get(start):
@@ -522,10 +514,9 @@ def _find_cycle_in_map(outgoing: dict[VertexId, EdgeId], head_of) -> bool:
             path.append(x)
             x = head_of(outgoing[x])
         if state.get(x) == 1:
-            return True
+            yield [outgoing[y] for y in path[path.index(x):]]
         for y in path:
             state[y] = 2
-    return False
 
 
 def future_edges(graph: DirectedMultigraph, arb: Arborescence, v: VertexId) -> list[EdgeId]:

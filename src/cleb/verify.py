@@ -64,7 +64,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, fast: bool = False) -> SuiteR
 
 
 def _suite_oracle_equivalence(seed: int, fast: bool) -> SuiteResult:
-    from .algorithms import cleb_walk_algorithm, order_chooser, original_cleb, sequential_cleb
+    from .algorithms import cleb_walk_algorithm, original_cleb, sequential_cleb
     from .instances import random_instance
     from .oracle import brute_force_msa
 
@@ -79,7 +79,7 @@ def _suite_oracle_equivalence(seed: int, fast: bool) -> SuiteResult:
         orders = [inner, inner[::-1], rng.sample(inner, len(inner))]
         results = {"original": original_cleb(graph, assign)[0].edge_set()}
         for label, order in zip(("seq_fwd", "seq_rev", "seq_rand"), orders):
-            results[label] = sequential_cleb(graph, assign, order_chooser(order))[0].edge_set()
+            results[label] = sequential_cleb(graph, assign, order)[0].edge_set()
         results["walk_algorithm"] = cleb_walk_algorithm(graph, assign)[0].edge_set()
         row = {"instance": i, "vertices": graph.n_vertices, "edges": graph.n_edges}
         for label, edges in results.items():
@@ -94,7 +94,7 @@ def _suite_oracle_equivalence(seed: int, fast: bool) -> SuiteResult:
 
 
 def _suite_color_invariance(seed: int, fast: bool) -> SuiteResult:
-    from .algorithms import order_chooser, original_cleb, sequential_cleb
+    from .algorithms import original_cleb, sequential_cleb
     from .instances import random_instance
 
     n = 10 if fast else 100
@@ -108,7 +108,7 @@ def _suite_color_invariance(seed: int, fast: bool) -> SuiteResult:
         orders = [inner, inner[::-1], rng.sample(inner, len(inner))]
         sets = [reference]
         for order in orders:
-            sets.append(sequential_cleb(graph, assign, order_chooser(order))[1]
+            sets.append(sequential_cleb(graph, assign, order)[1]
                         .colored_exposure_set())
         same = len(set(sets)) == 1
         matches += 4 if same else sum(1 for s in sets if s == reference)

@@ -11,12 +11,11 @@ from cleb.algorithms import (
     cleb_walk,
     cleb_walk_algorithm,
     connectivity_profile,
-    order_chooser,
     original_cleb,
     recover_branch,
     sequential_cleb,
 )
-from cleb.errors import BadChooserError, DisconnectedError, IncompleteWalkError, NotSpanningError
+from cleb.errors import DisconnectedError, IncompleteWalkError, NotSpanningError
 from cleb.families import coupled_assignment, parse_family
 from cleb.graph import ContractionStack, build_graph, validate_arborescence
 from cleb.instances import random_instance
@@ -53,26 +52,16 @@ def test_sequential_chooser_invariance():
         rng = random.Random(i)
         edge_sets = set()
         for order in (inner, inner[::-1], rng.sample(inner, len(inner))):
-            arb, _ = sequential_cleb(g, assign, order_chooser(order))
+            arb, _ = sequential_cleb(g, assign, order)
             edge_sets.add(arb.edge_set())
         assert len(edge_sets) == 1
 
 
 def test_single_edge_graph():
     g = build_graph([0, 1], [0], [(1, 0)])
-    arb, log = sequential_cleb(g, fixed(g, {0: 1}), order_chooser([1]))
+    arb, log = sequential_cleb(g, fixed(g, {0: 1}), [1])
     assert arb.edge_set() == {0}
     assert len(log.steps) == 1
-
-
-def test_bad_chooser_rejected():
-    g = build_graph([0, 1], [0], [(1, 0)])
-
-    def chooser(exp):
-        return 1  # keeps returning an already-revealed vertex
-
-    with pytest.raises(BadChooserError):
-        sequential_cleb(g, fixed(g, {0: 1}), chooser)
 
 
 def test_disconnected_instance_detected():
@@ -92,7 +81,7 @@ def test_colored_sets_match_across_variants():
         g, assign = random_instance(derive(9003, i))
         ref = original_cleb(g, assign)[1].colored_exposure_set()
         inner = [v for v in g.vertices if v not in g.boundary]
-        arb, log = sequential_cleb(g, assign, order_chooser(inner[::-1]))
+        arb, log = sequential_cleb(g, assign, inner[::-1])
         assert log.colored_exposure_set() == ref
 
 
@@ -242,8 +231,7 @@ def test_variants_agree_beyond_the_enumeration_cap():
         assign = sample_weights(Exponential(1.0), g, derive(9607, i))
         a0 = original_cleb(g, assign)[0].edge_set()
         inner = [v for v in g.vertices if v not in g.boundary]
-        a1 = sequential_cleb(g, assign,
-                             order_chooser(rng.sample(inner, len(inner))))[0].edge_set()
+        a1 = sequential_cleb(g, assign, rng.sample(inner, len(inner)))[0].edge_set()
         a2 = cleb_walk_algorithm(g, assign)[0].edge_set()
         assert a0 == a1 == a2
 
@@ -291,14 +279,13 @@ def test_walk_exposes_minimum_future_first():
         assert truth.outgoing[start] in early
 
 
-def _shuffled_order_run(spec, radius, chooser=None):
+def _shuffled_order_run(spec, radius):
     """sequential_cleb on a wired ball under exp1, inner vertices in a seeded shuffle."""
     real = parse_family(spec).realize(radius)
     g = real.graph
     assign = coupled_assignment(Exponential(), derive(77, radius), real)
     inner = [v for v in g.vertices if v not in g.boundary]
-    chooser = chooser or order_chooser(random.Random(77).sample(inner, len(inner)))
-    return sequential_cleb(g, assign, chooser)
+    return sequential_cleb(g, assign, random.Random(77).sample(inner, len(inner)))
 
 
 def _log_digest(log):
@@ -333,16 +320,40 @@ def test_order_chooser_resolves_a_few_times_per_reveal(radius, monkeypatch):
     assert calls[0] <= 4 * len(log.steps)
 
 
-def test_order_chooser_keeps_no_state_across_stacks():
-    g = parse_family("lattice:2").realize(10).graph
+@pytest.mark.parametrize("radius", [20, 40])
+def test_original_cleb_reads_a_few_heads_per_reveal(radius, monkeypatch):
+    """The first cycles are found in one pass and later ones only through
+    the vertex just revealed, so no reveal rescans the exposed edges."""
+    real = parse_family("lattice:2").realize(radius)
+    assign = coupled_assignment(Exponential(), derive(77, radius), real)
+    calls = [0]
+    head = ContractionStack.head
+
+    def counted(self, e):
+        calls[0] += 1
+        return head(self, e)
+
+    monkeypatch.setattr(ContractionStack, "head", counted)
+    _, log = original_cleb(real.graph, assign)
+    assert calls[0] <= 4 * len(log.steps)
+
+
+@pytest.mark.parametrize("spec, radius", [("lattice:2", 30), ("tree:2", 12)])
+def test_revelation_order_invariance_at_scale(spec, radius):
+    """All minima at once and three sequential orders give one colored
+    exposed set and one arborescence, which the walk algorithm also finds."""
+    real = parse_family(spec).realize(radius)
+    g = real.graph
+    assign = coupled_assignment(Exponential(), derive(77, radius), real)
     inner = [v for v in g.vertices if v not in g.boundary]
-    chooser = order_chooser(inner[::-1])
-    first = [_log_digest(_shuffled_order_run("lattice:2", 10, chooser)[1]) for _ in range(2)]
-    fresh = _log_digest(_shuffled_order_run("lattice:2", 10, order_chooser(inner[::-1]))[1])
-    assert first == [fresh, fresh]
+    shuffled = random.Random(derive(78, radius)).sample(inner, len(inner))
+    runs = [original_cleb(g, assign)] + [sequential_cleb(g, assign, order)
+                                         for order in (inner, inner[::-1], shuffled)]
+    assert len({log.colored_exposure_set() for _, log in runs}) == 1
+    assert {arb.edge_set() for arb, _ in runs} == {cleb_walk_algorithm(g, assign)[0].edge_set()}
 
 
 def test_order_chooser_never_returns_a_supervertex_outside_order():
     g = build_graph([0, 1, 2], [0], [(1, 0), (2, 1)])
     with pytest.raises(NotSpanningError, match="1 was never revealed"):
-        sequential_cleb(g, fixed(g, {0: 1, 1: 2}), order_chooser([2, 5]))
+        sequential_cleb(g, fixed(g, {0: 1, 1: 2}), [2, 5])

@@ -342,6 +342,7 @@ def test_monte_carlo_counts_below_one_are_config_errors(argv, capsys, monkeypatc
     ["dist-compare", "--graph", "fixture:distribution_gap", "--weights", "exp1"],
     ["dist-compare", "--graph", "fixture:distribution_gap", "--step-cap", "3"],
     ["invasion-check", "--graph", "fixture:symmetric_demo", "--start", "1", "--step-cap", "1"],
+    ["invasion-check", "--graph", "fixture:symmetric_demo", "--start", "1", "--seed", "5"],
     ["lcrw", "--graph", "fixture:symmetric_demo", "--start", "1", "--weights", "exp1"],
 ])
 def test_flags_a_command_would_ignore_are_rejected(argv, capsys):

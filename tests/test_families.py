@@ -10,14 +10,13 @@ from cleb.families import (
     LatticeBox,
     PathSegment,
     RegularTree,
-    component_end_stats,
     connectivity_monotonicity_check,
     coupled_assignment,
     parse_family,
     transience_trace,
     wired_msa_sequence,
 )
-from cleb.graph import Arborescence, build_graph, validate_arborescence
+from cleb.graph import build_graph, validate_arborescence
 from cleb.instances import GLUED_TREE_SHAPES
 from cleb.util import derive
 from cleb.walks import glued_tree
@@ -318,25 +317,6 @@ def test_lattice_trace_positions():
     assert positions is not None and len(positions) == len(trace.steps)
     assert all(max(abs(x), abs(y)) <= 15 for x, y in positions)
     assert positions[0] in [(0, 1), (0, -1), (1, 0), (-1, 0)]
-
-
-def test_component_stats_star_and_two_components():
-    star = build_graph([0, 1, 2, 3], [0], [(1, 0), (2, 1), (3, 1)])
-    stats = component_end_stats(star, Arborescence({1: 0, 2: 1, 3: 2}))
-    assert len(stats) == 1 and stats[0].size == 3
-    two = build_graph([0, 1, 2], [0], [(1, 0), (2, 0)])
-    stats = component_end_stats(two, Arborescence({1: 0, 2: 1}))
-    assert len(stats) == 2
-
-
-def test_component_stats_on_tree_sample():
-    fam = RegularTree(3)
-    real = fam.realize(5)
-    assign = coupled_assignment(Exponential(1.0), derive(6060), real)
-    arb, _ = cleb_walk_algorithm(real.graph, assign)
-    stats = component_end_stats(real.graph, arb)
-    assert sum(c.size for c in stats) == len(arb.outgoing)
-    assert all(c.unmerged_tips >= 1 for c in stats)
 
 
 @pytest.mark.parametrize("family, radius, expected", [

@@ -9,7 +9,6 @@ import pytest
 from cleb.algorithms import (
     cleb_walk,
     cleb_walk_algorithm,
-    order_chooser,
     original_cleb,
     recover_branch,
     sequential_cleb,
@@ -51,7 +50,7 @@ def test_engine_matches_networkx_edmonds(spec, radius):
     arb, _ = original_cleb(graph, assign)
     assert arb.edge_set() == truth
     inner = [v for v in graph.vertices if v not in graph.boundary]
-    seq_arb, _ = sequential_cleb(graph, assign, order_chooser(inner[::-1]))
+    seq_arb, _ = sequential_cleb(graph, assign, inner[::-1])
     assert seq_arb.edge_set() == truth
 
 

@@ -199,7 +199,7 @@ def test_keys_of_64_bits_or_more_fold_in_the_batch(monkeypatch):
 
 
 def test_full_solves_sample_every_weight_in_one_batch(monkeypatch):
-    from cleb.algorithms import cleb_walk_algorithm, order_chooser, original_cleb, sequential_cleb
+    from cleb.algorithms import cleb_walk_algorithm, original_cleb, sequential_cleb
 
     real = parse_family("lattice:2").realize(8)
     g = real.graph
@@ -207,7 +207,7 @@ def test_full_solves_sample_every_weight_in_one_batch(monkeypatch):
     order = [v for v in g.vertices if v not in g.boundary]
     arbs = [solve(g, coupled_assignment(Exponential(1.0), 808, real))[0].edge_set()
             for solve in (original_cleb, cleb_walk_algorithm,
-                          lambda g, a: sequential_cleb(g, a, order_chooser(order[::-1])))]
+                          lambda g, a: sequential_cleb(g, a, order[::-1]))]
     assert arbs[0] == arbs[1] == arbs[2]
 
 
