@@ -107,8 +107,13 @@ class _Exposure:
         self.log = ExposureLog()
 
     def reveal(self, v: VertexId) -> ExposureStep:
-        """Subtract v's minimum and log the newly exposed edge."""
-        edge, pi = min_out_subtract(self.assign, self.stack, v)
+        """Subtract v's minimum and log the newly exposed edge.  A
+        supervertex with no live outgoing edge cannot reach the boundary:
+        DisconnectedError."""
+        try:
+            edge, pi = min_out_subtract(self.assign, self.stack, v)
+        except NoOutgoingEdgeError as err:
+            raise DisconnectedError(str(err)) from err
         color = self.vertex_color.get(v, 1)
         step = ExposureStep(len(self.log.steps) + 1, v, edge, pi, color)
         self.log.steps.append(step)
@@ -186,18 +191,15 @@ def original_cleb(graph: DirectedMultigraph, assign: WeightAssignment
     assign.sample_all(graph.n_edges)
     stack = ContractionStack(graph)
     exp = _Exposure(stack, assign)
-    try:
-        for v in graph.vertices:
-            if v not in graph.boundary:
-                exp.reveal(v)
-        step_of = {s.edge: s for s in exp.log.steps}
-        cycles = list(functional_cycles(exp.exposed_out, graph.heads.__getitem__))
-        records = [exp.contract(cycle, max(map(step_of.get, cycle), key=attrgetter("step")))
-                   for cycle in cycles]
-        for record in records:
-            exp.settle(record.supervertex)
-    except NoOutgoingEdgeError as err:
-        raise DisconnectedError(str(err)) from err
+    for v in graph.vertices:
+        if v not in graph.boundary:
+            exp.reveal(v)
+    step_of = {s.edge: s for s in exp.log.steps}
+    cycles = list(functional_cycles(exp.exposed_out, graph.heads.__getitem__))
+    records = [exp.contract(cycle, max(map(step_of.get, cycle), key=attrgetter("step")))
+               for cycle in cycles]
+    for record in records:
+        exp.settle(record.supervertex)
     arb = exp.terminal_arborescence()
     return _unwind(stack, arb), exp.log
 
@@ -217,14 +219,11 @@ def sequential_cleb(graph: DirectedMultigraph, assign: WeightAssignment,
     stack = ContractionStack(graph)
     exp = _Exposure(stack, assign)
     vertices, boundary = graph._vset, graph.boundary
-    try:
-        for x in order:
-            if x in vertices and x not in boundary:
-                v = stack.resolve(x)
-                if v not in exp.exposed_out:
-                    exp.settle(v)
-    except NoOutgoingEdgeError as err:
-        raise DisconnectedError(str(err)) from err
+    for x in order:
+        if x in vertices and x not in boundary:
+            v = stack.resolve(x)
+            if v not in exp.exposed_out:
+                exp.settle(v)
     arb = exp.terminal_arborescence()
     return _unwind(stack, arb), exp.log
 
@@ -407,10 +406,7 @@ def cleb_walk(graph: DirectedMultigraph, assign: WeightAssignment, start: Vertex
         absorbing = {stack.resolve(b) for b in graph.boundary}
 
     def reveal(v: VertexId) -> tuple[EdgeId, object]:
-        try:
-            estep = exp.reveal(v)
-        except NoOutgoingEdgeError as err:
-            raise DisconnectedError(str(err)) from err
+        estep = exp.reveal(v)
         return estep.edge, estep.pi
 
     def contract(cycle: list[EdgeId]) -> ContractionRecord:
@@ -465,23 +461,22 @@ def recover_branch(graph: DirectedMultigraph, record: WalkRecord
                    ) -> tuple[Arborescence, set[VertexId]]:
     """Rebuild the arborescence fragment a finished walk determines.
 
-    Replays each epoch's loops forward on a scratch stack and uncontracts
-    them in reverse, seeding from the epoch's permanent edge.  The result
-    is a sub-arborescence of the instance's minimal spanning arborescence
-    and contains exactly one edge into the boundary.
+    Replays all of the walk's loops on one scratch stack, maps the
+    resolved tail of each permanent (final-path) edge to that edge, and
+    unwinds.  Each loop's supervertex is either folded by a later loop or
+    the tail of a permanent edge, so every supervertex popped has its
+    edge.  The result is a sub-arborescence of the instance's minimal
+    spanning arborescence, with exactly one edge into the boundary, and
+    ``reached`` holds the endpoints of its edges.
     """
     if record.terminal != HIT_BOUNDARY:
         raise IncompleteWalkError("walk did not reach the boundary")
-    outgoing: dict[VertexId, EdgeId] = {}
-    for epoch in record.epochs():
-        rstack = ContractionStack(graph)
-        for loop in epoch.loops:
-            rstack.contract_cycle(loop.cycle)
-        arb = Arborescence({rstack.resolve(graph.tails[epoch.seed_edge]): epoch.seed_edge})
-        while rstack.records:
-            arb = uncontract(rstack, rstack.records[-1], arb, validate=False)
-        outgoing.update(arb.outgoing)
-    gamma = Arborescence(outgoing)
+    stack = ContractionStack(graph)
+    for s in record.steps:
+        if s.record is not None:
+            stack.contract_cycle(s.record.cycle)
+    seeds = {stack.resolve(graph.tails[s.edge]): s.edge for s in record.final_path()}
+    gamma = _unwind(stack, Arborescence(seeds))
     reached = set()
     for e in gamma.outgoing.values():
         reached.add(graph.tails[e])

@@ -98,8 +98,6 @@ def _cmd_lcrw(args) -> int:
 def _cmd_lcrw_grid(args) -> int:
     from .families import LatticeBox, transience_trace
 
-    if args.d != 2:
-        raise ConfigError(f"lcrw-grid writes x,y coordinates, so --d must be 2, not {args.d}")
     if args.side < 0:
         raise ConfigError("--side must not be negative")
     if args.side < 3 or args.side % 2 == 0:
@@ -107,14 +105,12 @@ def _cmd_lcrw_grid(args) -> int:
                           f"2r + 1), not {args.side}")
     if not args.out:
         raise ConfigError("lcrw-grid needs --out for the trace file")
-    family = LatticeBox(args.d)
-    radius = args.side // 2
-    origin = family._vcode((0,) * args.d)
-    trace, summary, positions = transience_trace(family, radius, origin,
-                                                 args.step_cap, args.seed)
+    family = LatticeBox(2)
+    origin = family._vcode((0, 0))
+    trace, positions = transience_trace(family, args.side // 2, origin, args.step_cap, args.seed)
     trace.write_csv(args.out, positions=positions)
-    print(f"grid walk: {summary.terminal} after {summary.steps} steps, "
-          f"max path {summary.max_path_len}, {summary.returns_to_empty} returns -> {args.out}")
+    print(f"grid walk: {trace.terminal} after {len(trace.steps)} steps, "
+          f"max path {trace.max_path_len()}, {trace.returns_to_empty()} returns -> {args.out}")
     return 0
 
 
@@ -145,8 +141,10 @@ def _cmd_invasion_check(args) -> int:
     weights = {e: assign.base(e) for e in range(graph.n_edges)}
     reversal = _derive_reversal(graph, weights)
     verdict = invasion_equivalence_check(graph, reversal, weights, args.start)
-    print(f"prefixes equal: {verdict.equal_prefixes}; "
-          f"invasion tree is the minimum spanning tree: {verdict.invasion_matches_kruskal}")
+    _emit(f"prefixes equal: {verdict.equal_prefixes}; invasion tree is the minimum "
+          f"spanning tree: {verdict.invasion_matches_kruskal}\n", args.out)
+    if args.out:
+        print(f"invasion verdict -> {args.out}")
     return 0 if (verdict.equal_prefixes and verdict.invasion_matches_kruskal) else 1
 
 
@@ -362,9 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, graph=True, start=True, weights=False)
     p.set_defaults(fn=_cmd_lcrw)
 
-    p = sub.add_parser("lcrw-grid", help="lattice walk trace with coordinates")
+    p = sub.add_parser("lcrw-grid", help="walk trace with x,y coordinates on a lattice:2 box")
     common(p)
-    p.add_argument("--d", type=int, default=2, help="lattice dimension; only 2 is supported")
     p.add_argument("--side", type=int, required=True, help="box side, odd and at least 3")
     p.set_defaults(fn=_cmd_lcrw_grid)
 

@@ -33,8 +33,6 @@ class Realization:
 class GraphFamily:
     """Base class: subclasses construct wired balls with canonical ids."""
 
-    spec = "?"
-
     def realize(self, radius: int) -> Realization:
         raise NotImplementedError
 
@@ -42,7 +40,6 @@ class GraphFamily:
 class PathSegment(GraphFamily):
     """The integer line, wired at both ends of [-radius, radius]."""
 
-    spec = "path"
     BOUNDARY = 10**9
 
     def realize(self, radius: int) -> Realization:
@@ -97,7 +94,7 @@ def _tree_ball(expand: Callable[[Sequence[VertexId]], tuple[Sequence, Sequence]]
         if len(vertices) > 2_000_000:
             raise TooLargeError("branching ball too large")
         level = children
-    graph = DirectedMultigraph.from_arcs(vertices, [0], tails, heads)
+    graph = DirectedMultigraph(vertices, [0], tails, heads)
     return Realization(graph, canon, dict(zip(vertices[1:], vertices[1:])))
 
 
@@ -119,8 +116,6 @@ class RegularTree(GraphFamily):
     across radii.
     """
 
-    spec = "tree"
-
     def __init__(self, arity: int):
         if arity < 2:
             raise PreconditionViolatedError("arity must be at least 2")
@@ -140,8 +135,6 @@ class RegularTree(GraphFamily):
 
 class LatticeBox(GraphFamily):
     """The d-dimensional integer lattice, wired outside [-radius, radius]^d."""
-
-    spec = "lattice"
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -176,7 +169,7 @@ class LatticeBox(GraphFamily):
         shared = np.array(ids, dtype=object)    # one int object per vertex id
         tails = shared[np.where(back, n, owner)].tolist()
         heads = shared[np.where(back, owner, nbr)].tolist()
-        graph = DirectedMultigraph.from_arcs(ids, [n], tails, heads)
+        graph = DirectedMultigraph(ids, [n], tails, heads)
         # _vcode of every vertex, summed axis by axis as exact ints
         base, code = 2 * _LATTICE_B + 1, np.zeros(1, dtype=object)
         for a in range(d):
@@ -207,8 +200,6 @@ class GaltonWatson(GraphFamily):
     radius realizes the same underlying tree.
     """
 
-    spec = "gw"
-
     def __init__(self, law: dict[int, float], seed: int):
         if any(k < 1 for k in law):
             raise PreconditionViolatedError("offspring law must not place mass at zero")
@@ -220,9 +211,9 @@ class GaltonWatson(GraphFamily):
         self.max_offspring = max(law)
 
     @classmethod
-    def geometric(cls, p: float, seed: int, cap: int = 12) -> "GaltonWatson":
-        """Geometric({1, 2, ...}) offspring, truncated and renormalized."""
-        law = {k: p * (1 - p) ** (k - 1) for k in range(1, cap + 1)}
+    def geometric(cls, p: float, seed: int) -> "GaltonWatson":
+        """Geometric({1, 2, ...}) offspring, truncated at 12 and renormalized."""
+        law = {k: p * (1 - p) ** (k - 1) for k in range(1, 13)}
         scale = sum(law.values())
         return cls({k: w / scale for k, w in law.items()}, seed)
 
@@ -255,8 +246,6 @@ class BoundedSubdivision(GraphFamily):
     child end of the base edge), so all radii subdivide consistently.
     The radius counts base-tree depth.
     """
-
-    spec = "subdiv"
 
     def __init__(self, arity: int, bound: int, seed: int):
         if bound < 1:
@@ -442,19 +431,12 @@ def connectivity_monotonicity_check(family: GraphFamily, model: WeightModel,
     return MonotonicityVerdict(violations=violations, bits_by_radius=bits_by_radius)
 
 
-@dataclass
-class TransienceSummary:
-    steps: int
-    returns_to_empty: int
-    max_path_len: int
-    terminal: str
-
-
 def transience_trace(family: GraphFamily, radius: int, start: VertexId,
                      step_cap: int, seed: int):
     """Loop-contracting walk on a wired ball, with recurrence diagnostics.
 
-    Returns (trace, summary, positions); positions hold per-step lattice
+    Returns (trace, positions).  The trace's ``returns_to_empty()`` and
+    ``max_path_len()`` are the diagnostics; positions hold per-step lattice
     coordinates of the walker's representative site for lattice families,
     else None.
     """
@@ -474,9 +456,5 @@ def transience_trace(family: GraphFamily, radius: int, start: VertexId,
         shape = (2 * radius + 1,) * family.dim
         grid = np.array(np.unravel_index(np.array(at, dtype=np.int64), shape)).T - radius
         positions = list(map(tuple, grid.tolist()))
-    summary = TransienceSummary(steps=len(trace.steps),
-                                returns_to_empty=trace.returns_to_empty(),
-                                max_path_len=trace.max_path_len(),
-                                terminal=trace.terminal)
-    return trace, summary, positions
+    return trace, positions
 

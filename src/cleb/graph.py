@@ -40,27 +40,17 @@ EdgeId = int
 class DirectedMultigraph:
     """Immutable directed multigraph with a distinguished boundary set.
 
-    Edges are identified by their position in the construction order
-    (EdgeId = 0..m-1).  Parallel edges are allowed; self-loops are not.
-    Vertex ids from ``id_bound`` (largest id + 1, or 0) up are free.
+    Edge e is ``tails[e] -> heads[e]`` (EdgeId = 0..m-1); the graph keeps
+    both lists.  Parallel edges are allowed; self-loops are not.  A
+    per-edge scan runs only if C-level checks fail; the first bad edge
+    decides the error.  Vertex ids from ``id_bound`` (largest id + 1, or
+    0) up are free.
     """
 
     __slots__ = ("vertices", "boundary", "tails", "heads", "_out", "_vset", "id_bound")
 
     def __init__(self, vertices: Iterable[VertexId], boundary: Iterable[VertexId],
-                 edges: Sequence[tuple[VertexId, VertexId]]):
-        self._set_arcs(vertices, boundary, [t for t, _ in edges], [h for _, h in edges])
-
-    @classmethod
-    def from_arcs(cls, vertices: Iterable[VertexId], boundary: Iterable[VertexId],
-                  tails: list[VertexId], heads: list[VertexId]) -> "DirectedMultigraph":
-        """The graph whose edge e is tails[e] -> heads[e] (it keeps both lists).
-        A per-edge scan runs only if C-level checks fail; the first bad edge decides."""
-        graph = cls.__new__(cls)
-        graph._set_arcs(vertices, boundary, tails, heads)
-        return graph
-
-    def _set_arcs(self, vertices, boundary, tails, heads) -> None:
+                 tails: list[VertexId], heads: list[VertexId]):
         self.vertices: tuple[VertexId, ...] = tuple(vertices)
         vset = self._vset = frozenset(self.vertices)
         if len(vset) != len(self.vertices):
@@ -106,11 +96,12 @@ class DirectedMultigraph:
 
 def build_graph(vertices: Iterable[VertexId], boundary: Iterable[VertexId],
                 edges: Sequence[tuple[VertexId, VertexId]]) -> DirectedMultigraph:
-    """Build a graph for use as a spanning-arborescence instance.
+    """Build a spanning-arborescence instance from (tail, head) pairs.
 
-    EdgeIds are assigned in input order and never change afterwards.
+    EdgeIds are assigned in input order and never change afterwards.  The
+    boundary must be nonempty.
     """
-    g = DirectedMultigraph(vertices, boundary, edges)
+    g = DirectedMultigraph(vertices, boundary, [t for t, _ in edges], [h for _, h in edges])
     if not g.boundary:
         raise EmptyBoundaryError("an instance needs a nonempty boundary")
     return g

@@ -17,19 +17,20 @@ from .util import derive
 from .weights import Fixed, WeightAssignment, sample_weights
 
 
-def random_instance(seed: int, max_inner: int = 6, max_edges: int = 20
+def random_instance(seed: int, max_inner: int = 6
                     ) -> tuple[DirectedMultigraph, WeightAssignment]:
     """Connected instance with boundary 0 and distinct random rational weights.
 
     Every non-boundary vertex gets a skeleton edge pointing at a
     lower-numbered vertex, so the boundary is always reachable; extra
-    edges (parallels and two-cycles included) are sprinkled on top.
+    edges (parallels and two-cycles included) are sprinkled on top, up to
+    20 edges in all.
     """
     rng = random.Random(derive(seed, "instance"))
     n = rng.randint(2, max_inner)
     vertices = list(range(n + 1))
     edges = [(v, rng.randrange(v)) for v in range(1, n + 1)]
-    extra = rng.randint(0, max_edges - n)
+    extra = rng.randint(0, 20 - n)
     for _ in range(extra):
         t = rng.randint(1, n)
         h = rng.randrange(n + 1)
@@ -53,20 +54,21 @@ def rational_assignment(graph: DirectedMultigraph, rng: random.Random) -> Weight
     return sample_weights(Fixed(values), graph, 0)
 
 
-def random_symmetric_instance(seed: int, max_inner: int = 7, max_extra: int = 8
-                              ) -> tuple[DirectedMultigraph, list[EdgeId],
-                                         dict[EdgeId, Fraction], VertexId]:
+def random_symmetric_instance(seed: int) -> tuple[DirectedMultigraph, list[EdgeId],
+                                                   dict[EdgeId, Fraction], VertexId]:
     """Bidirected instance with one weight per unoriented edge.
 
     Returns (graph, reversal map, oriented weights, start vertex); the
-    boundary is vertex 0 and the underlying undirected graph is connected.
+    boundary is vertex 0, there are 2-7 inner vertices, up to 8 extra
+    undirected edges ride on a spanning tree, and the underlying
+    undirected graph is connected.
     """
     from .walks import build_symmetric_graph
 
     rng = random.Random(derive(seed, "symmetric"))
-    n = rng.randint(2, max_inner)
+    n = rng.randint(2, 7)
     undirected = [(v, rng.randrange(v)) for v in range(1, n + 1)]
-    for _ in range(rng.randint(0, max_extra)):
+    for _ in range(rng.randint(0, 8)):
         a = rng.randint(1, n)
         b = rng.randrange(n + 1)
         if a != b:
@@ -86,10 +88,10 @@ def random_symmetric_instance(seed: int, max_inner: int = 7, max_extra: int = 8
     return graph, reversal, oriented, start
 
 
-def eligible_perturbation(seed: int, max_tries: int = 200
-                          ) -> tuple[DirectedMultigraph, WeightAssignment,
-                                     VertexId, EdgeId, EdgeId]:
-    """Instance plus an eligible (v, kept-edge, replacement-edge) triple.
+def eligible_perturbation(seed: int) -> tuple[DirectedMultigraph, WeightAssignment,
+                                               VertexId, EdgeId, EdgeId]:
+    """Instance plus an eligible (v, kept-edge, replacement-edge) triple,
+    from the first of 200 seeded instances that has one.
 
     The replacement must leave the same vertex as the minimum's edge at v
     and must not point back into its own future.
@@ -97,7 +99,7 @@ def eligible_perturbation(seed: int, max_tries: int = 200
     from .graph import future_edges
     from .oracle import brute_force_msa
 
-    for attempt in range(max_tries):
+    for attempt in range(200):
         graph, assign = random_instance(derive(seed, "perturb", attempt))
         t_star = brute_force_msa(graph, assign)
         rng = random.Random(derive(seed, "perturb-pick", attempt))

@@ -125,10 +125,9 @@ def total_weight(assign: WeightAssignment, arb: Arborescence):
     return sum(assign.base(e) for e in arb.outgoing.values())
 
 
-def brute_force_msa(graph: DirectedMultigraph, assign: WeightAssignment,
-                    cap: int = 10_000_000) -> Arborescence:
+def brute_force_msa(graph: DirectedMultigraph, assign: WeightAssignment) -> Arborescence:
     """Unique minimizer of total base weight over all spanning arborescences."""
-    arbs = enumerate_arborescences(graph, cap=cap)
+    arbs = enumerate_arborescences(graph)
     if not arbs:
         raise TooLargeError("instance has no spanning arborescence")
     best = second = None
@@ -193,20 +192,18 @@ CHUNK_CELLS = 1 << 16
 
 
 def msa_distribution(graph: DirectedMultigraph, model: WeightModel, samples: int,
-                     seed: int, cap: int = 10_000_000,
-                     tolerance: float = DEFAULT_TOLERANCE
-                     ) -> tuple[InstanceDistributionReport, list[Arborescence]]:
+                     seed: int) -> tuple[InstanceDistributionReport, list[Arborescence]]:
     """Sample weights repeatedly and tally which arborescence wins.
 
     Rows are drawn in chunks of about CHUNK_CELLS cells.  A row whose two
-    smallest totals are within tolerance is redrawn with a sub-seed
+    smallest totals are within DEFAULT_TOLERANCE is redrawn with a sub-seed
     derived from the seed and the retry, keyed by its global row number, so
     every completed sample contributes exactly one cell and the counts do
     not depend on the chunk size.
     """
     if samples < 1:
         raise ConfigError(f"need at least one sample, not {samples}")
-    arbs = enumerate_arborescences(graph, cap=cap)
+    arbs = enumerate_arborescences(graph)
     if not arbs:
         raise TooLargeError("instance has no spanning arborescence")
     m = graph.n_edges
@@ -231,7 +228,7 @@ def msa_distribution(graph: DirectedMultigraph, model: WeightModel, samples: int
                 totals[at, winners[todo]] = np.inf
                 second = totals.min(axis=1)
                 scale = np.maximum(1.0, np.maximum(np.abs(best), np.abs(second)))
-                todo = todo[second - best <= tolerance * scale]
+                todo = todo[second - best <= DEFAULT_TOLERANCE * scale]
                 if todo.size == 0:
                     break
                 totals = _sample_weight_matrix(model, mix64(seed ^ retry), rows[todo],
@@ -253,10 +250,9 @@ def msa_distribution(graph: DirectedMultigraph, model: WeightModel, samples: int
 
 
 def msa_event_probability(graph: DirectedMultigraph, target: Arborescence,
-                          model: WeightModel, samples: int, seed: int,
-                          cap: int = 10_000_000) -> tuple[float, float]:
+                          model: WeightModel, samples: int, seed: int) -> tuple[float, float]:
     """Estimate P(minimal arborescence == target) with its standard error."""
-    report, _ = msa_distribution(graph, model, samples, seed, cap=cap)
+    report, _ = msa_distribution(graph, model, samples, seed)
     sig = tuple(sorted(target.edge_set()))
     for cell in report.cells:
         if cell.signature == sig:
@@ -291,7 +287,7 @@ def perturb_and_verify(graph: DirectedMultigraph, assign: WeightAssignment,
     if graph.tails[e2] != v or e2 == e1:
         raise PreconditionViolatedError(f"edge {e2} must also leave {v}")
     u = graph.heads[e2]
-    if v in _future_vertices(graph, t_star, u):
+    if v == u or v in {graph.heads[e] for e in future_edges(graph, t_star, u)}:
         raise PreconditionViolatedError(f"{v} lies on the future of {u}")
 
     if mode == "lemma1":
@@ -326,15 +322,6 @@ def perturb_and_verify(graph: DirectedMultigraph, assign: WeightAssignment,
                                sigma=frozenset(sigma))
 
 
-def _future_vertices(graph: DirectedMultigraph, arb: Arborescence,
-                     x: VertexId) -> set[VertexId]:
-    out = {x}
-    while x in arb.outgoing:
-        x = graph.heads[arb.outgoing[x]]
-        out.add(x)
-    return out
-
-
 def _futures_until_merge(graph: DirectedMultigraph, arb: Arborescence,
                          u: VertexId, v: VertexId) -> set[VertexId]:
     merge = meet_vertex(graph, arb, u, v)
@@ -354,8 +341,7 @@ def _first_epoch_region(graph: DirectedMultigraph, assign: WeightAssignment,
                         v: VertexId) -> set[VertexId]:
     from .algorithms import HIT_BOUNDARY, cleb_walk
 
-    fresh = WeightAssignment(assign.model, assign.seed, key_of=assign.key_of,
-                             tolerance=assign.tolerance)
+    fresh = WeightAssignment(assign.model, assign.seed, key_of=assign.key_of)
     record = cleb_walk(graph, fresh, v)
     if record.terminal != HIT_BOUNDARY:
         raise PreconditionViolatedError("walk from v hit the step cap")

@@ -28,19 +28,20 @@ class SuiteResult:
     seed: int
     ok: bool
     summary: str
-    columns: list[str]
     rows: list[dict] = field(default_factory=list)
 
     def report_text(self, fmt: str = "csv") -> str:
-        """Deterministic report body (same seed, same bytes)."""
+        """Deterministic report body (same seed, same bytes).  CSV columns
+        are the first row's keys, in order; every row has the same keys."""
         if fmt == "json":
             payload = {"suite": self.name, "seed": self.seed, "ok": self.ok,
                        "summary": self.summary, "rows": self.rows}
             return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        columns = list(self.rows[0]) if self.rows else []
         buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
+        buf.write(",".join(columns) + "\n")
         for row in self.rows:
-            buf.write(",".join(_fmt(row[c]) for c in self.columns) + "\n")
+            buf.write(",".join(_fmt(row[c]) for c in columns) + "\n")
         return buf.getvalue()
 
 
@@ -88,9 +89,7 @@ def _suite_oracle_equivalence(seed: int, fast: bool) -> SuiteResult:
         rows.append(row)
     passed = sum(1 for r in rows if all(r[k] for k in
                  ("original", "seq_fwd", "seq_rev", "seq_rand", "walk_algorithm")))
-    return SuiteResult("oracle-equivalence", seed, ok, f"{passed}/{n} instances match",
-                       ["instance", "vertices", "edges", "original", "seq_fwd",
-                        "seq_rev", "seq_rand", "walk_algorithm"], rows)
+    return SuiteResult("oracle-equivalence", seed, ok, f"{passed}/{n} instances match", rows)
 
 
 def _suite_color_invariance(seed: int, fast: bool) -> SuiteResult:
@@ -115,7 +114,7 @@ def _suite_color_invariance(seed: int, fast: bool) -> SuiteResult:
         rows.append({"instance": i, "runs": 4, "identical": same})
     ok = all(r["identical"] for r in rows)
     return SuiteResult("color-invariance", seed, ok, f"{matches}/{4 * n} colored sets match",
-                       ["instance", "runs", "identical"], rows)
+                       rows)
 
 
 def _suite_invasion(seed: int, fast: bool) -> SuiteResult:
@@ -132,8 +131,7 @@ def _suite_invasion(seed: int, fast: bool) -> SuiteResult:
                      "tree_is_mst": verdict.invasion_matches_kruskal})
     ok = all(r["prefixes_equal"] and r["tree_is_mst"] for r in rows)
     good = sum(1 for r in rows if r["prefixes_equal"] and r["tree_is_mst"])
-    return SuiteResult("invasion", seed, ok, f"{good}/{n} instances equal",
-                       ["instance", "fresh_edges", "prefixes_equal", "tree_is_mst"], rows)
+    return SuiteResult("invasion", seed, ok, f"{good}/{n} instances equal", rows)
 
 
 SANDWICH_BETAS = (2.0, 5.0, 10.0, 20.0)
@@ -183,8 +181,7 @@ def _suite_sandwich(seed: int, fast: bool) -> SuiteResult:
                  "monotone": True, "meets_high_end": witness_freq >= 0.9})
     return SuiteResult("sandwich", seed, ok,
                        f"5 fixtures over betas {SANDWICH_BETAS}, witness freq {witness_freq:.3f}",
-                       ["fixture", "beta", "trials", "frequency", "stderr", "capped",
-                        "monotone", "meets_high_end"], rows)
+                       rows)
 
 
 def _suite_escape(seed: int, fast: bool) -> SuiteResult:
@@ -206,9 +203,7 @@ def _suite_escape(seed: int, fast: bool) -> SuiteResult:
             rows.append({"fixture": name, "start": v, "srw_exact": exact,
                          "lcrw_estimate": estimate, "stderr": stderr, "ok": good})
     good = sum(1 for r in rows if r["ok"])
-    return SuiteResult("escape", seed, ok, f"{good}/{len(rows)} starts satisfy the bound",
-                       ["fixture", "start", "srw_exact", "lcrw_estimate", "stderr", "ok"],
-                       rows)
+    return SuiteResult("escape", seed, ok, f"{good}/{len(rows)} starts satisfy the bound", rows)
 
 
 def _monotonicity_pools():
@@ -240,8 +235,7 @@ def _suite_monotonicity(seed: int, fast: bool) -> SuiteResult:
             rows.append({"family": label, "seed_index": s, "pairs": len(pairs),
                          "radii": len(radii), "violations": len(verdict.violations)})
     ok = total_violations == 0
-    return SuiteResult("monotonicity", seed, ok, f"{total_violations} violations",
-                       ["family", "seed_index", "pairs", "radii", "violations"], rows)
+    return SuiteResult("monotonicity", seed, ok, f"{total_violations} violations", rows)
 
 
 def _suite_perturbation(seed: int, fast: bool) -> SuiteResult:
@@ -260,8 +254,7 @@ def _suite_perturbation(seed: int, fast: bool) -> SuiteResult:
             rows.append({"mode": mode, "case": i, "vertex": v, "swap_out": e1,
                          "swap_in": e2, "matched": outcome.matched})
     ok = matched == 2 * n
-    return SuiteResult("perturbation", seed, ok, f"{matched}/{2 * n} perturbations match",
-                       ["mode", "case", "vertex", "swap_out", "swap_in", "matched"], rows)
+    return SuiteResult("perturbation", seed, ok, f"{matched}/{2 * n} perturbations match", rows)
 
 
 _SUITES = {

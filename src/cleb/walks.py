@@ -36,7 +36,7 @@ from .graph import (
     build_graph,
 )
 from .util import derive
-from .weights import WeightAssignment
+from .weights import DEFAULT_TOLERANCE, WeightAssignment
 
 
 def lcrw_run(graph: DirectedMultigraph, start: VertexId, step_cap: int,
@@ -422,18 +422,14 @@ def build_symmetric_graph(vertices: Sequence[VertexId], boundary: Sequence[Verte
 
 @dataclass
 class InvasionSequence:
-    """Greedy growth sequence: the k-th prefix is the invaded tree T_k."""
+    """Greedy growth sequence: its first k edges are the invaded tree T_k."""
 
     start: VertexId
     edges: list[EdgeId]  # canonical (even) orientation ids, in invasion order
 
-    def prefix(self, k: int) -> frozenset[EdgeId]:
-        return frozenset(self.edges[:k])
-
 
 def invasion_percolation(graph: DirectedMultigraph, reversal: Sequence[EdgeId],
-                         weights: dict[EdgeId, float], start: VertexId,
-                         tolerance: float = 1e-12) -> InvasionSequence:
+                         weights: dict[EdgeId, float], start: VertexId) -> InvasionSequence:
     """Grow a tree from start by always invading the cheapest frontier edge."""
     import heapq
 
@@ -458,7 +454,7 @@ def invasion_percolation(graph: DirectedMultigraph, reversal: Sequence[EdgeId],
             heapq.heappop(heap)
         if heap:
             gap = heap[0][0] - w
-            if abs(gap) <= tolerance * max(1.0, abs(w), abs(heap[0][0])):
+            if abs(gap) <= DEFAULT_TOLERANCE * max(1.0, abs(w), abs(heap[0][0])):
                 nxt = heap[0][1]
                 na, nb = graph.tails[nxt], graph.heads[nxt]
                 if not (na in invaded and nb in invaded):
@@ -495,7 +491,6 @@ def kruskal_mst(graph: DirectedMultigraph, reversal: Sequence[EdgeId],
 @dataclass
 class InvasionEquivalenceVerdict:
     equal_prefixes: bool
-    first_mismatch: int | None
     walk_fresh_count: int
     invasion_matches_kruskal: bool
 
@@ -506,9 +501,12 @@ def invasion_equivalence_check(graph: DirectedMultigraph, reversal: Sequence[Edg
     """Fresh-edge prefixes of the contracting walk versus invasion order.
 
     Runs the walk on the bidirected graph, takes the exposure times of
-    edges whose reversal was not yet exposed, and compares the unoriented
-    prefix sets against the invasion sequence; also checks the completed
-    invasion tree against the independent minimum spanning tree.
+    edges whose reversal was not yet exposed, and compares them, unoriented,
+    with the start of the invasion sequence.  Each oriented edge is exposed
+    at most once and a reversal exposed later is not fresh, so the fresh
+    edges are distinct, and equal sequences mean equal prefix sets T_k for
+    every k.  Also checks the completed invasion tree against the
+    independent minimum spanning tree.
     """
     from .algorithms import cleb_walk
     from .weights import Fixed
@@ -525,15 +523,8 @@ def invasion_equivalence_check(graph: DirectedMultigraph, reversal: Sequence[Edg
         if reversal[e] not in exposed:
             fresh_unoriented.append(min(e, reversal[e]))
         exposed.add(e)
-    equal = True
-    mismatch = None
-    for k in range(1, len(fresh_unoriented) + 1):
-        if frozenset(fresh_unoriented[:k]) != seq.prefix(k):
-            equal = False
-            mismatch = k
-            break
     mst = kruskal_mst(graph, reversal, weights)
     return InvasionEquivalenceVerdict(
-        equal_prefixes=equal, first_mismatch=mismatch,
+        equal_prefixes=fresh_unoriented == seq.edges[:len(fresh_unoriented)],
         walk_fresh_count=len(fresh_unoriented),
         invasion_matches_kruskal=(frozenset(seq.edges) == mst))

@@ -5,8 +5,8 @@ one bit-identical vectorized pass before a full solve.  Effective weights
 are never stored: an edge's is its base weight minus the potential
 accumulated along its tail's supervertex lineage (one subtraction per
 comparison, no error build-up).  Every comparison site funnels through the
-assignment's tie guard, which records any pair of values closer than the
-tolerance and aborts the run.
+assignment's tie guard, which records any pair of values closer than
+DEFAULT_TOLERANCE (relative) and aborts the run.
 """
 
 from __future__ import annotations
@@ -151,12 +151,10 @@ class WeightAssignment:
     """
 
     def __init__(self, model: WeightModel, seed: int,
-                 key_of: Callable[[EdgeId], int] | None = None,
-                 tolerance: float = DEFAULT_TOLERANCE):
+                 key_of: Callable[[EdgeId], int] | None = None):
         self.model = model
         self.seed = seed
         self.key_of = key_of
-        self.tolerance = tolerance
         self.exact = model.is_exact()
         self.collisions: list[tuple[object, object, str]] = []
         self._cache: dict[EdgeId, object] | list = {}
@@ -185,18 +183,18 @@ class WeightAssignment:
         return self.base(e) - stack.potential(stack.base.tails[e])
 
     def require_distinct(self, a, b, context: str = "") -> None:
-        """Tie guard: abort when two compared values are within tolerance."""
+        """Tie guard: abort when two compared values are within DEFAULT_TOLERANCE."""
         if self.exact:
             close = a == b
         else:
-            close = abs(a - b) <= self.tolerance * max(1.0, abs(a), abs(b))
+            close = abs(a - b) <= DEFAULT_TOLERANCE * max(1.0, abs(a), abs(b))
         if close:
             self.collisions.append((a, b, context))
             raise TieDetectedError(a, b, context)
 
 
-def sample_weights(model: WeightModel, graph: DirectedMultigraph, seed: int,
-                   tolerance: float = DEFAULT_TOLERANCE) -> WeightAssignment:
+def sample_weights(model: WeightModel, graph: DirectedMultigraph, seed: int
+                   ) -> WeightAssignment:
     """Materialize an assignment for a finite graph.
 
     Random models are deterministic per (seed, EdgeId) independent of the
@@ -208,7 +206,7 @@ def sample_weights(model: WeightModel, graph: DirectedMultigraph, seed: int,
         if missing:
             raise GenericityViolationError(f"fixed model lacks weights for edges {missing[:5]}")
         _screen_fixed_ties(model)
-    return WeightAssignment(model, seed, tolerance=tolerance)
+    return WeightAssignment(model, seed)
 
 
 def _screen_fixed_ties(model: Fixed) -> None:
@@ -257,6 +255,7 @@ def min_out_subtract(assign: WeightAssignment, stack: ContractionStack,
     return best_e, best_w
 
 
-def rational_jitter(rng, scale: int = 1 << 20) -> Fraction:
-    """Small positive rational used to refresh genericity after perturbation."""
-    return Fraction(rng.randrange(1, scale), scale * 4)
+def rational_jitter(rng) -> Fraction:
+    """Small positive rational (below 1/4, in steps of 2**-22) used to
+    refresh genericity after perturbation."""
+    return Fraction(rng.randrange(1, 1 << 20), 1 << 22)

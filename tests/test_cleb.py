@@ -76,6 +76,17 @@ def test_disconnected_instance_detected():
         original_cleb(g3, fixed(g3, {0: 1, 1: 2}))
 
 
+def test_every_front_end_reports_a_closed_cluster_as_disconnected():
+    # 2 and 3 point only at each other: their supervertex has no way out
+    g = build_graph([0, 1, 2, 3], [0], [(1, 0), (2, 3), (3, 2)])
+    for solve in (lambda a: original_cleb(g, a),
+                  lambda a: sequential_cleb(g, a, [1, 2, 3]),
+                  lambda a: cleb_walk_algorithm(g, a),
+                  lambda a: cleb_walk(g, a, 2)):
+        with pytest.raises(DisconnectedError, match="no live outgoing edge"):
+            solve(fixed(g, {0: 1, 1: 2, 2: 3}))
+
+
 def test_colored_sets_match_across_variants():
     for i in range(40):
         g, assign = random_instance(derive(9003, i))

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from cleb.cli import main
+from cleb.cli import build_parser, main
 from cleb.graph import dump_graph_json
 from cleb.instances import random_symmetric_instance
 
@@ -54,7 +55,7 @@ def test_lcrw_trace(tmp_path, capsys):
 
 def test_lcrw_grid_trace(tmp_path, capsys):
     out = tmp_path / "grid.csv"
-    code = run(["lcrw-grid", "--d", "2", "--side", "15", "--seed", "2",
+    code = run(["lcrw-grid", "--side", "15", "--seed", "2",
                 "--step-cap", "500", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
@@ -72,8 +73,10 @@ def _no_walk(*args, **kwargs):
     raise AssertionError("the walk ran before the arguments were checked")
 
 
-@pytest.mark.parametrize("flags, message", [(["--d", "1", "--side", "12"], "--d must be 2"),
-                                           (["--d", "3", "--side", "12"], "--d must be 2"),
+@pytest.mark.parametrize("flags, message", [(["--d", "1", "--side", "13"],
+                                            "unrecognized arguments: --d 1"),
+                                           (["--d", "2", "--side", "13"],
+                                            "unrecognized arguments: --d 2"),
                                            (["--side", "-3"], "--side must not be negative"),
                                            (["--side", "12"], "--side must be odd"),
                                            (["--side", "0"], "--side must be odd"),
@@ -82,7 +85,11 @@ def _no_walk(*args, **kwargs):
 def test_lcrw_grid_rejects_bad_flags_before_walking(tmp_path, capsys, monkeypatch, flags, message):
     monkeypatch.setattr("cleb.families.transience_trace", _no_walk)
     out = tmp_path / "grid.csv"
-    assert run(["lcrw-grid", *flags, "--seed", "1", "--out", str(out)]) == 2
+    try:
+        code = run(["lcrw-grid", *flags, "--seed", "1", "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects a flag lcrw-grid does not have
+        code = exc.code
+    assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -103,6 +110,50 @@ def test_invasion_check_pass_and_config_error(capsys, tmp_path):
                 "--start", "1"]) == 0
     assert run(["invasion-check", "--graph", "fixture:sandwich_triangle",
                 "--start", "1"]) == 2
+
+
+def test_invasion_check_out_holds_the_verdict(capsys, tmp_path):
+    argv = ["invasion-check", "--graph", "fixture:symmetric_demo", "--start", "1"]
+    assert run(argv) == 0
+    verdict = capsys.readouterr().out
+    assert verdict == ("prefixes equal: True; invasion tree is the minimum "
+                       "spanning tree: True\n")
+    out = tmp_path / "verdict.txt"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == verdict
+    assert capsys.readouterr().out == f"invasion verdict -> {out}\n"
+
+
+# one cheap run of every subcommand that registers --out
+_OUT_ARGV = {
+    "msa": ["--graph", "fixture:sandwich_triangle"],
+    "cleb-walk": ["--graph", "fixture:sandwich_nested", "--start", "1"],
+    "lcrw": ["--graph", "fixture:symmetric_demo", "--start", "1", "--seed", "4"],
+    "lcrw-grid": ["--side", "9", "--seed", "1", "--step-cap", "200"],
+    "wilson-sandwich": ["--graph", "fixture:sandwich_bounce", "--start", "1",
+                        "--betas", "20", "--trials", "5"],
+    "invasion-check": ["--graph", "fixture:symmetric_demo", "--start", "1"],
+    "dist-compare": ["--graph", "fixture:distribution_gap", "--samples", "100"],
+    "wired-limit": ["--family", "tree:2", "--radii", "3,4", "--probes", "1"],
+    "connectivity": ["--family", "tree:3", "--radii", "3,4", "--probes", "1,2,3",
+                     "--pairs", "2"],
+    "verify": ["invasion", "--fast"],
+}
+
+
+def _commands_with_out() -> list[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(name for name, p in sub.choices.items() if "--out" in p._option_string_actions)
+
+
+@pytest.mark.parametrize("command", _commands_with_out())
+def test_every_out_flag_writes_its_file(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([command, *_OUT_ARGV[command], "--out", str(out)]) in (0, 1)
+    if command == "verify":
+        assert [p.suffix for p in out.iterdir()] == [".csv"]
+    else:
+        assert out.read_text()
 
 
 def test_dist_compare_target(capsys, tmp_path):

@@ -290,13 +290,11 @@ def test_pair_on_common_future_always_connected():
 def test_transience_trace_tree_vs_path():
     tree_total = path_total = 0
     for s in range(15):
-        _, tree_summary, _ = transience_trace(RegularTree(2), 12, 1, 50_000,
-                                              derive(3030, s))
-        assert tree_summary.terminal == "hit_boundary"
-        tree_total += tree_summary.returns_to_empty
-        _, path_summary, _ = transience_trace(PathSegment(), 40, 0, 20_000,
-                                              derive(3031, s))
-        path_total += path_summary.returns_to_empty
+        tree_trace, _ = transience_trace(RegularTree(2), 12, 1, 50_000, derive(3030, s))
+        assert tree_trace.terminal == "hit_boundary"
+        tree_total += tree_trace.returns_to_empty()
+        path_trace, _ = transience_trace(PathSegment(), 40, 0, 20_000, derive(3031, s))
+        path_total += path_trace.returns_to_empty()
     assert path_total > tree_total
 
 
@@ -304,16 +302,15 @@ def test_tree_returns_median_small():
     counts = []
     fam = RegularTree(2)
     for s in range(30):
-        _, summary, _ = transience_trace(fam, 12, 1, 50_000, derive(4040, s))
-        counts.append(summary.returns_to_empty)
+        trace, _ = transience_trace(fam, 12, 1, 50_000, derive(4040, s))
+        counts.append(trace.returns_to_empty())
     counts.sort()
     assert counts[len(counts) // 2] <= 2
 
 
 def test_lattice_trace_positions():
     fam = LatticeBox(2)
-    trace, summary, positions = transience_trace(fam, 15, fam._vcode((0, 0)),
-                                                 3000, derive(5050))
+    trace, positions = transience_trace(fam, 15, fam._vcode((0, 0)), 3000, derive(5050))
     assert positions is not None and len(positions) == len(trace.steps)
     assert all(max(abs(x), abs(y)) <= 15 for x, y in positions)
     assert positions[0] in [(0, 1), (0, -1), (1, 0), (-1, 0)]
@@ -379,8 +376,7 @@ def test_lattice_structure_without_canonical_ids_is_pinned(dim, radius, expected
 ])
 def test_lattice_trace_positions_are_pinned(dim, radius, steps, expected):
     fam = LatticeBox(dim)
-    _, _, positions = transience_trace(fam, radius, fam._vcode((0,) * dim), 3000,
-                                       derive(5050))
+    _, positions = transience_trace(fam, radius, fam._vcode((0,) * dim), 3000, derive(5050))
     assert len(positions) == steps
     assert hashlib.sha256(repr(positions).encode()).hexdigest()[:16] == expected
 

@@ -372,15 +372,15 @@ def test_uniform_walk_stack_pops_back_to_every_view():
 ])
 def test_first_bad_edge_decides_the_error(edges, error, message):
     tails, heads = [t for t, _ in edges], [h for _, h in edges]
-    for build in (lambda: DirectedMultigraph([0, 1, 2], [0], edges),
-                  lambda: DirectedMultigraph.from_arcs([0, 1, 2], [0], tails, heads)):
+    for build in (lambda: DirectedMultigraph([0, 1, 2], [0], tails, heads),
+                  lambda: build_graph([0, 1, 2], [0], edges)):
         with pytest.raises(error, match=f"^{message}$"):
             build()
 
 
-def test_from_arcs_rejects_unaligned_arcs():
+def test_graph_rejects_unaligned_arcs():
     with pytest.raises(ValueError):
-        DirectedMultigraph.from_arcs([0, 1, 2], [0], [1, 2], [0])
+        DirectedMultigraph([0, 1, 2], [0], [1, 2], [0])
 
 
 class _UnionChainModel:
